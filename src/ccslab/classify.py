@@ -29,9 +29,9 @@ from .core import (
     Tolerance,
     commutation_class,
     correlation_class,
+    _deterministic,
     density_matrix,
     is_ccs,
-    is_deterministic_ccs,
     operators_close,
     satisfies_ltp,
 )
@@ -204,24 +204,13 @@ def _strong_probe_pairs(dim: int, dims: tuple | None, cfg: SamplerConfig):
         yield random_commuting_pair(dim, rng_for(cfg.seed, 12, i))
 
 
-def _probe_states(dim: int, rho_ref: np.ndarray, cfg: SamplerConfig, count: int):
+def _probe_states(dim: int, rho_ref: np.ndarray, seed: int, tag: int, count: int):
+    """The maximally mixed state, then per index a mixture of the reference
+    state with a sample (nontrivial CCSs fail only off the reference support,
+    so full-support witnesses live there) and a pure resample."""
     yield DensityState(np.eye(dim, dtype=complex) / dim)
     for i in range(count):
-        rng = rng_for(cfg.seed, 13, i)
-        samp = ginibre_state(dim, rng).rho
-        w = (0.5, 0.1, 0.01)[i % 3]
-        mixed = (1.0 - w) * rho_ref + w * samp
-        yield DensityState(mixed / np.trace(mixed).real)
-        yield haar_pure_state(dim, rng).density()
-
-
-def _weak_counterexample_states(dim: int, rho_ref: np.ndarray, cfg: SamplerConfig):
-    """Mixtures of the reference state with samples first (nontrivial CCSs fail
-    only off the reference support, so full-support witnesses live there),
-    then pure resamples."""
-    yield DensityState(np.eye(dim, dtype=complex) / dim)
-    for i in range(cfg.n_states):
-        rng = rng_for(cfg.seed, 14, i)
+        rng = rng_for(seed, tag, i)
         samp = ginibre_state(dim, rng).rho
         w = (0.5, 0.1, 0.01)[i % 3]
         mixed = (1.0 - w) * rho_ref + w * samp
@@ -248,13 +237,24 @@ def certify_triviality(
     state sampling otherwise.  Never certifies beyond what was checked: every
     sampled verdict carries (seed, n).
     """
-    cfg = cfg or SamplerConfig()
-    rho_ref = density_matrix(state)
     if not is_ccs(state, partition, pair, tol).holds:
         raise PreconditionError("triviality is only defined for partitions that screen off")
-    dim = partition.dim
-    if bipartite is None and dim == 4:
+    if bipartite is None and partition.dim == 4:
         bipartite = (2, 2)
+    return _certify(partition, pair, state, cfg or SamplerConfig(), tol, bipartite)
+
+
+def _certify(
+    partition: Partition,
+    pair: EventPair,
+    state,
+    cfg: SamplerConfig,
+    tol: Tolerance,
+    bipartite: tuple | None,
+) -> tuple:
+    """Body of certify_triviality, for a triple already known to screen off."""
+    rho_ref = density_matrix(state)
+    dim = partition.dim
     atomic = partition.is_atomic()
 
     if atomic and bipartite is not None and _all_elements_product(partition, bipartite, tol):
@@ -268,7 +268,7 @@ def certify_triviality(
     strong_counterexample = None
     n_checked = 0
     for probe_pair in _strong_probe_pairs(dim, bipartite, cfg):
-        for probe_state in _probe_states(dim, rho_ref, cfg, count=2):
+        for probe_state in _probe_states(dim, rho_ref, cfg.seed, 13, count=2):
             n_checked += 1
             if not is_ccs(probe_state, partition, probe_pair, tol).holds:
                 strong_counterexample = _serialize_counterexample(
@@ -301,7 +301,7 @@ def certify_triviality(
                 ),
             )
         # a full-support state gives the failing element nonzero probability
-        for witness in _weak_counterexample_states(dim, rho_ref, cfg):
+        for witness in _probe_states(dim, rho_ref, cfg.seed, 14, cfg.n_states):
             if not is_ccs(witness, partition, pair, tol).holds:
                 return (
                     TrivialityLevel.NONTRIVIAL,
@@ -326,7 +326,7 @@ def certify_triviality(
         )
 
     n_states = 0
-    for witness in _weak_counterexample_states(dim, rho_ref, cfg):
+    for witness in _probe_states(dim, rho_ref, cfg.seed, 14, cfg.n_states):
         n_states += 1
         if not is_ccs(witness, partition, pair, tol).holds:
             return (
@@ -385,12 +385,12 @@ def classify(
     counterexamples = []
     certificate = None
     if screening.holds:
-        triviality, certificate = certify_triviality(partition, pair, state, cfg, tol, bipartite)
+        triviality, certificate = _certify(partition, pair, state, cfg, tol, bipartite)
         if certificate.counterexample is not None:
             counterexamples.append(certificate.counterexample)
         deterministic = (
             Determinism.DETERMINISTIC
-            if is_deterministic_ccs(state, partition, pair, tol)
+            if _deterministic(state, partition, pair, screening, tol)
             else Determinism.INDETERMINISTIC
         )
     else:

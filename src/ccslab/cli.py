@@ -32,7 +32,7 @@ from .families import (
 from .goldentable import GOLDEN_THETAS, CellStatus, run_golden_table
 from .propositions import verify_propositions
 from .sampling import SamplerConfig
-from .serialize import document_kind, emit_document, parse_document
+from .serialize import _counterexample_out, document_kind, emit_document, parse_document
 from .solver import DegenerateThetaError, format_plot_csv, plot_data, solve_state_params
 from .twoqubit import canonical_events
 
@@ -241,13 +241,7 @@ def _cmd_props(args) -> int:
         if report.violations:
             any_violation = True
             for ce in report.counterexamples:
-                printable = {
-                    k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                    for k, v in ce.items()
-                    if k != "partition"
-                }
-                printable["partition"] = [m.tolist() for m in ce["partition"]]
-                print(json.dumps({"proposition": name, "counterexample": printable}))
+                print(json.dumps({"proposition": name, "counterexample": _counterexample_out(ce)}))
     return EXIT_CHECK_FAILED if any_violation else EXIT_OK
 
 

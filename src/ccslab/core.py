@@ -11,7 +11,9 @@ for common-cause analysis of a commuting event pair (A, B):
       balanced:  phi(AB) phi(A'B') - phi(AB') phi(A'B)      (X' = I - X)
 - screening-off: a partition {C_k} is a common cause system (CCS) of the
   correlation when the conditional correlation vanishes for every element
-  of nonzero probability; zero-probability elements impose no condition
+  of nonzero probability; zero-probability elements impose no condition.
+  is_ccs returns a ScreeningReport whose conditional_joint[k] holds the four
+  phi(X|C_k) (None at zero probability); the determinism check reads them
 - determinism, commutation classes (commuting / weakly commuting /
   noncommuting), the law of total probability Tr(E(rho) X) = Tr(rho X)
   for the four events generated by A and B, where E is the pinching
@@ -343,19 +345,24 @@ class EventPair:
     def __post_init__(self):
         _check_same_dim(self.a.dim, self.b.dim)
         n = self.a.dim
-        if np.linalg.norm(commutator(self.a.op, self.b.op)) > DEFAULT_TOL.eps_eq * n:
+        a, b = self.a.op, self.b.op
+        ab = a @ b
+        if np.linalg.norm(ab - b @ a) > DEFAULT_TOL.eps_eq * n:
             raise ValidationError("event pair must commute")
+        ia = np.eye(n) - a
+        ib = np.eye(n) - b
+        products = (ab, a @ ib, ia @ b, ia @ ib)
+        for x in products:
+            x.setflags(write=False)
+        object.__setattr__(self, "_products", products)
 
     @property
     def dim(self) -> int:
         return self.a.dim
 
     def products(self) -> tuple:
-        """The four events generated by the pair: AB, AB', A'B, A'B'."""
-        a, b = self.a.op, self.b.op
-        ia = np.eye(self.dim) - a
-        ib = np.eye(self.dim) - b
-        return (a @ b, a @ ib, ia @ b, ia @ ib)
+        """The four events generated by the pair: AB, AB', A'B, A'B' (read-only, built once)."""
+        return self._products
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +382,19 @@ def _clamp_probability(value: float, tol: Tolerance) -> float:
     if value < 0.0 or value > 1.0:
         raise ValidationError(f"probability {value} outside [0,1] beyond tolerance")
     return value
+
+
+def _conditional_probs(rho: np.ndarray, cond: np.ndarray, events, tol: Tolerance) -> tuple:
+    """(phi(C), tuple of phi(X|C) = Tr(rho C X C) / phi(C) over the events).
+
+    The tuple is None when phi(C) <= eps_prob.  Every conditional probability
+    in this module is computed here.
+    """
+    p = _trace_pair(rho, cond)
+    if p <= tol.eps_prob:
+        return (p, None)
+    vals = (float(np.trace(rho @ cond @ x @ cond).real) / p for x in events)
+    return (p, tuple(_clamp_probability(v, tol) for v in vals))
 
 
 def probability(state, event: ProjectionEvent, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -402,11 +422,10 @@ def conditional_probability(
     """phi(X|C) = Tr(rho C X C) / Tr(rho C)."""
     rho = density_matrix(state)
     _check_same_dim(rho.shape[0], event.dim, cond.dim)
-    p = _trace_pair(rho, cond.op)
-    if p <= tol.eps_prob:
+    p, vals = _conditional_probs(rho, cond.op, (event.op,), tol)
+    if vals is None:
         raise ZeroProbabilityError(f"conditioning event has probability {p:.3e}")
-    val = float(np.trace(rho @ cond.op @ event.op @ cond.op).real) / p
-    return _clamp_probability(val, tol)
+    return vals[0]
 
 
 def conditional_expectation(partition: Partition, x) -> np.ndarray:
@@ -444,16 +463,10 @@ def correlation(state, pair: EventPair, tol: Tolerance = DEFAULT_TOL) -> tuple:
     return (original, balanced)
 
 
-def _conditional_joint_probs(
-    rho: np.ndarray, pair: EventPair, cond: ProjectionEvent, tol: Tolerance
-) -> tuple:
-    p = _trace_pair(rho, cond.op)
-    if p <= tol.eps_prob:
-        raise ZeroProbabilityError(f"conditioning event has probability {p:.3e}")
-    vals = []
-    for x in pair.products():
-        vals.append(_clamp_probability(float(np.trace(rho @ cond.op @ x @ cond.op).real) / p, tol))
-    return tuple(vals)
+def _correlation_forms(joint: tuple) -> tuple:
+    """(original, balanced) correlation from the four joint probabilities."""
+    p00, p01, p10, p11 = joint
+    return (p00 - (p00 + p01) * (p00 + p10), p00 * p11 - p01 * p10)
 
 
 def conditional_correlation(
@@ -462,10 +475,10 @@ def conditional_correlation(
     """Conditional correlation given C, (original, balanced) forms."""
     rho = density_matrix(state)
     _check_same_dim(rho.shape[0], pair.dim, cond.dim)
-    p00, p01, p10, p11 = _conditional_joint_probs(rho, pair, cond, tol)
-    original = p00 - (p00 + p01) * (p00 + p10)
-    balanced = p00 * p11 - p01 * p10
-    return (original, balanced)
+    p, joint = _conditional_probs(rho, cond.op, pair.products(), tol)
+    if joint is None:
+        raise ZeroProbabilityError(f"conditioning event has probability {p:.3e}")
+    return _correlation_forms(joint)
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +489,17 @@ def conditional_correlation(
 class ScreeningReport:
     """Per-element screening diagnostics for a (state, partition, pair) triple.
 
-    conditional_deltas[k] is the (original, balanced) conditional correlation,
-    or None for elements of probability <= eps_prob (they impose no condition).
+    conditional_deltas[k] is the (original, balanced) conditional correlation
+    and conditional_joint[k] the four conditional probabilities
+    (phi(AB|C_k), phi(AB'|C_k), phi(A'B|C_k), phi(A'B'|C_k)); both are None
+    for elements of probability <= eps_prob (they impose no condition).
     """
 
     holds: bool
     conditional_deltas: tuple
     element_probabilities: tuple
     zero_probability_elements: tuple
+    conditional_joint: tuple
 
     def __bool__(self) -> bool:
         return self.holds
@@ -499,22 +515,14 @@ def is_ccs(
     """
     rho = density_matrix(state)
     _check_same_dim(rho.shape[0], partition.dim, pair.dim)
-    deltas = []
-    probs = []
-    zero = []
-    holds = True
-    for k, c in enumerate(partition):
-        p = _trace_pair(rho, c.op)
-        probs.append(p)
-        if p <= tol.eps_prob:
-            zero.append(k)
-            deltas.append(None)
-            continue
-        d = conditional_correlation(state, pair, c, tol)
-        deltas.append(d)
-        if abs(d[0]) > tol.eps_eq or abs(d[1]) > tol.eps_eq:
-            holds = False
-    return ScreeningReport(holds, tuple(deltas), tuple(probs), tuple(zero))
+    products = pair.products()
+    probs, joints = zip(*(_conditional_probs(rho, c.op, products, tol) for c in partition))
+    deltas = tuple(None if j is None else _correlation_forms(j) for j in joints)
+    zero = tuple(k for k, j in enumerate(joints) if j is None)
+    holds = not any(
+        abs(d[0]) > tol.eps_eq or abs(d[1]) > tol.eps_eq for d in deltas if d is not None
+    )
+    return ScreeningReport(holds, deltas, probs, zero, joints)
 
 
 def _binary_within(value: float, tol: Tolerance) -> bool:
@@ -527,25 +535,27 @@ def is_deterministic_ccs(
     """True iff every nonzero-probability element drives phi(A|C_k), phi(B|C_k) to 0 or 1.
 
     Requires the partition to be a CCS of the pair in this state.  The
-    equivalent four-event characterisation (phi(X|C_k) binary for all four
-    generated events) is asserted as a cross-check.
+    equivalent four-event characterisation (the screening report's
+    conditional_joint[k] binary for all four generated events) is asserted
+    as a cross-check against phi(A|C_k), phi(B|C_k) computed from A and B.
     """
     report = is_ccs(state, partition, pair, tol)
     if not report.holds:
         raise NotACCSError("partition does not screen off the correlation in this state")
+    return _deterministic(state, partition, pair, report, tol)
+
+
+def _deterministic(
+    state, partition: Partition, pair: EventPair, report: ScreeningReport, tol: Tolerance
+) -> bool:
+    """Body of is_deterministic_ccs, given the triple's (holding) screening report."""
     rho = density_matrix(state)
-    products = pair.products()
-    for k, c in enumerate(partition):
-        if k in report.zero_probability_elements:
+    for c, joint in zip(partition, report.conditional_joint):
+        if joint is None:
             continue
-        pa = conditional_probability(state, pair.a, c, tol)
-        pb = conditional_probability(state, pair.b, c, tol)
+        # from A and B themselves: derived from the four products, the cross-check is vacuous
+        _, (pa, pb) = _conditional_probs(rho, c.op, (pair.a.op, pair.b.op), tol)
         two_event = _binary_within(pa, tol) and _binary_within(pb, tol)
-        p = report.element_probabilities[k]
-        joint = [
-            _clamp_probability(float(np.trace(rho @ c.op @ x @ c.op).real) / p, tol)
-            for x in products
-        ]
         four_event = all(_binary_within(v, tol) for v in joint)
         if two_event != four_event:
             raise CCSLabError(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .classify import CCSReport, Determinism, ProductStatus, classify
 from .core import DEFAULT_TOL, DensityState, Tolerance
 from .families import (
+    REQUIRED_PARAMS,
     Family,
     FamilyParams,
     TableRow,
@@ -112,20 +113,13 @@ def reference_state(family: Family, params: FamilyParams) -> DensityState:
 
 
 def golden_parameter_sets(family: Family, thetas=GOLDEN_THETAS, cs_values=GOLDEN_CS) -> list:
-    needs = {
-        Family.CCSclassU,
-        Family.CCStwist,
-        Family.CCSBell,
-        Family.CCSntrat,
-        Family.CCSntratU,
-        Family.CCS22ntrat,
-        Family.CCS22ntratU,
-    }
-    if family in needs:
+    """The grid for the parameters the family requires (REQUIRED_PARAMS)."""
+    required = REQUIRED_PARAMS[family]
+    if required == ("theta",):
         return [FamilyParams(theta=t) for t in thetas]
-    if family is Family.CCShyper:
+    if required == ("xi", "zeta"):
         return [FamilyParams(xi=x, zeta=z) for x, z in GOLDEN_XI_ZETA]
-    if family in (Family.CCSntratC, Family.CCS22ntratC):
+    if required == ("c", "s"):
         return [FamilyParams(c=c, s=s) for c, s in cs_values]
     return [FamilyParams()]
 

@@ -57,6 +57,7 @@ from .classify import _atomic_screening_identities
 from .families import Family, FamilyParams, associated_state, generate
 from .sampling import (
     SamplerConfig,
+    _pair_from_patterns,
     ginibre_state,
     haar_unitary,
     random_diagonal_pattern,
@@ -112,12 +113,6 @@ def _serialize_instance(inst: PropositionInstance) -> dict:
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------
-
-def _pair_from_patterns(u: np.ndarray, da: np.ndarray, db: np.ndarray) -> EventPair:
-    a = ProjectionEvent(u @ np.diag(da).astype(complex) @ u.conj().T)
-    b = ProjectionEvent(u @ np.diag(db).astype(complex) @ u.conj().T)
-    return EventPair(a, b)
-
 
 def _sector_indices(da: np.ndarray, db: np.ndarray) -> dict:
     return {
@@ -214,19 +209,24 @@ def _perfect_sectors(rng: np.random.Generator, dim: int) -> tuple:
             return (u, da, db, sectors)
 
 
-def _perfect_weakly_commuting_instance(rng: np.random.Generator, dim: int) -> PropositionInstance:
+def _perfect_sector_instance(
+    rng: np.random.Generator, dim: int, atomic: bool = False
+) -> PropositionInstance:
     """State supported inside the AB / A'B' sectors (hence perfect correlation);
-    partition refines those sectors and rotates the zero-probability rest."""
+    the partition refines those sectors (commuting with the pair) and the
+    rotated zero-probability rest.  Atomic: every group is a single random
+    basis vector."""
     u, da, db, sectors = _perfect_sectors(rng, dim)
     pair = _pair_from_patterns(u, da, db)
     support_groups = []
     for key in ((1, 1), (0, 0)):
-        support_groups.extend(_random_groups(u[:, sectors[key]], rng))
+        support_groups.extend(_random_groups(u[:, sectors[key]], rng, atomic))
     off_cols = u[:, np.concatenate([sectors[(1, 0)], sectors[(0, 1)]])]
-    zeroed = _rotate_jointly(_random_groups(off_cols, rng), rng)
+    zeroed = _rotate_jointly(_random_groups(off_cols, rng, atomic), rng)
     state = _state_on_span(np.concatenate(support_groups, axis=1), rng)
     partition = Partition(tuple(_projector(g) for g in support_groups + zeroed))
-    return PropositionInstance(state, partition, pair, f"perfect sector-refined dim={dim}")
+    label = "atomic" if atomic else "sector-refined"
+    return PropositionInstance(state, partition, pair, f"perfect {label} dim={dim}")
 
 
 def _perfect_nonatomic_noncommuting_instance(
@@ -256,21 +256,6 @@ def _perfect_nonatomic_noncommuting_instance(
     return PropositionInstance(
         state, Partition(tuple(elements)), pair, f"perfect rank-mixed dim={dim}"
     )
-
-
-def _perfect_atomic_instance(rng: np.random.Generator, dim: int) -> PropositionInstance:
-    """Atomic partition: random orthonormal bases inside each perfect sector
-    (those commute with the pair) and on the zero-probability complement."""
-    u, da, db, sectors = _perfect_sectors(rng, dim)
-    pair = _pair_from_patterns(u, da, db)
-    support_groups = []
-    for key in ((1, 1), (0, 0)):
-        support_groups.extend(_random_groups(u[:, sectors[key]], rng, atomic=True))
-    off_cols = u[:, np.concatenate([sectors[(1, 0)], sectors[(0, 1)]])]
-    zeroed = _rotate_jointly(_random_groups(off_cols, rng, atomic=True), rng)
-    state = _state_on_span(np.concatenate(support_groups, axis=1), rng)
-    partition = Partition(tuple(_projector(g) for g in support_groups + zeroed))
-    return PropositionInstance(state, partition, pair, f"perfect atomic dim={dim}")
 
 
 def _family_perfect_instance(rng: np.random.Generator, rank_two: bool) -> PropositionInstance:
@@ -408,7 +393,7 @@ def _stream_classmaxodet(cfg, n):
         if i % 3 == 2:
             yield _family_perfect_instance(rng, rank_two=False)
         else:
-            yield _perfect_weakly_commuting_instance(rng, _DIMS[i % len(_DIMS)])
+            yield _perfect_sector_instance(rng, _DIMS[i % len(_DIMS)])
 
 
 def _stream_ltp_pc_determ(cfg, n):
@@ -420,9 +405,9 @@ def _stream_ltp_pc_determ(cfg, n):
         elif pick == 1:
             yield _family_perfect_instance(rng, rank_two=True)
         elif pick == 2:
-            yield _perfect_atomic_instance(rng, _DIMS[i % len(_DIMS)])
+            yield _perfect_sector_instance(rng, _DIMS[i % len(_DIMS)], atomic=True)
         else:
-            yield _perfect_weakly_commuting_instance(rng, _DIMS[i % len(_DIMS)])
+            yield _perfect_sector_instance(rng, _DIMS[i % len(_DIMS)])
 
 
 def _stream_atomic_wcomm(cfg, n):
@@ -431,7 +416,7 @@ def _stream_atomic_wcomm(cfg, n):
         if i % 3 == 2:
             yield _family_perfect_instance(rng, rank_two=False)
         else:
-            yield _perfect_atomic_instance(rng, _DIMS[i % len(_DIMS)])
+            yield _perfect_sector_instance(rng, _DIMS[i % len(_DIMS)], atomic=True)
 
 
 def _stream_wcomm_atomic_ccs(cfg, n):

@@ -123,14 +123,19 @@ def random_product_pair(dims: tuple, rng: np.random.Generator) -> EventPair:
     return EventPair(a, b)
 
 
+def _pair_from_patterns(u: np.ndarray, da: np.ndarray, db: np.ndarray) -> EventPair:
+    """Pair of projections diagonal in the basis u, with 0/1 patterns da and db."""
+    a = ProjectionEvent(u @ np.diag(da).astype(complex) @ u.conj().T)
+    b = ProjectionEvent(u @ np.diag(db).astype(complex) @ u.conj().T)
+    return EventPair(a, b)
+
+
 def random_commuting_pair(dim: int, rng: np.random.Generator) -> EventPair:
     """General commuting pair: independent diagonal patterns in a Haar basis."""
     u = haar_unitary(dim, rng)
     da = random_diagonal_pattern(dim, rng)
     db = random_diagonal_pattern(dim, rng)
-    a = ProjectionEvent(u @ np.diag(da).astype(complex) @ u.conj().T)
-    b = ProjectionEvent(u @ np.diag(db).astype(complex) @ u.conj().T)
-    return EventPair(a, b)
+    return _pair_from_patterns(u, da, db)
 
 
 def random_atomic_partition(dim: int, rng: np.random.Generator) -> Partition:

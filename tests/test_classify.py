@@ -1,8 +1,12 @@
 """Composite classification and triviality certification."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
+
+import ccslab.core
 
 from ccslab.classify import (
     CertificateKind,
@@ -18,8 +22,16 @@ from ccslab.core import (
     PreconditionError,
     check_lemma_wcomm,
     is_ccs,
+    is_deterministic_ccs,
 )
-from ccslab.families import Family, FamilyParams, TrivialityLevel, associated_state, generate
+from ccslab.families import (
+    Family,
+    FamilyParams,
+    TrivialityLevel,
+    associated_state,
+    bell_phi_vector,
+    generate,
+)
 from ccslab.goldentable import CellStatus, reference_state, run_golden_table
 from ccslab.sampling import SamplerConfig
 from ccslab.twoqubit import canonical_events
@@ -213,3 +225,44 @@ def test_unresolved_ltp_cells_report_residuals():
     ltp_cells = [o for o in outcomes if o.column == "ltp"]
     assert all(o.status is CellStatus.SKIPPED for o in ltp_cells)
     assert all("residuals" in o.detail for o in ltp_cells)
+
+
+# ---------------------------------------------------------------------------
+# one screening per report
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "family, theta",
+    [
+        (Family.CCSntrat, math.pi / 3),  # analytic nontrivial
+        (Family.CCS22ntrat, math.pi / 3),  # sampled witness at n=1
+        (Family.CCS22ntratU, 0.0),  # sampled weak, n = 2 * 250 + 1
+        (Family.CCS22ntratU, math.pi / 3),
+    ],
+)
+def test_classify_matches_the_public_predicates(family, theta, pair):
+    partition = generate(family, FamilyParams(theta=theta)).partition
+    state = DensityState.from_vector(bell_phi_vector())
+    report = classify(partition, pair, state, CFG)
+    level, cert = certify_triviality(partition, pair, state, CFG)
+    assert report.triviality is level
+    got = report.certificate
+    assert (got.kind, got.detail, got.seed, got.n) == (cert.kind, cert.detail, cert.seed, cert.n)
+    assert np.array_equal(got.counterexample["state"], cert.counterexample["state"])
+    deterministic = is_deterministic_ccs(state, partition, pair)
+    assert (report.deterministic is Determinism.DETERMINISTIC) == deterministic
+
+
+def test_classify_screens_the_reference_triple_once(pair, monkeypatch):
+    calls = []
+    original = ccslab.core.is_ccs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ccslab.core, "is_ccs", counting)
+    monkeypatch.setattr(sys.modules["ccslab.classify"], "is_ccs", counting)
+    report = _classified(Family.TrivAB4)
+    assert report.is_ccs and report.certificate.kind is CertificateKind.ANALYTIC
+    assert len(calls) == 1

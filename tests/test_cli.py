@@ -204,3 +204,25 @@ def test_eps_flag_beats_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CCSLAB_EPS", "1e-6")
     assert main(["classify", state_file, partition_file, "--eps", "1e-8"]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["meta"]["eps"] == 1e-8
+
+
+def test_props_violation_exits_1_with_json_counterexamples(capsys, monkeypatch):
+    from ccslab.propositions import PropositionReport
+    from ccslab.twoqubit import canonical_events
+
+    pair = canonical_events()
+    counterexample = {
+        "label": "injected",
+        "state": np.eye(4, dtype=complex) / 4,
+        "partition": [np.eye(4, dtype=complex)],
+        "pair_a": pair.a.op,
+        "pair_b": pair.b.op,
+    }
+    report = PropositionReport("injected", "statement", "strategy", 1, 0, 1, [counterexample])
+    monkeypatch.setattr("ccslab.cli.verify_propositions", lambda cfg: {"injected": report})
+    assert main(["props", "--seed", "1", "--n", "1"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["proposition"] == "injected"
+    assert doc["counterexample"]["label"] == "injected"

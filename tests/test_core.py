@@ -538,3 +538,30 @@ def test_tolerance_domain():
 def test_perfect_correlation_state_domain():
     with pytest.raises(ValidationError):
         perfect_correlation_state(1.0, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# pair products and the screening report's conditional probabilities
+# ---------------------------------------------------------------------------
+
+def test_pair_products_are_built_once_and_read_only(pair):
+    first = pair.products()
+    second = pair.products()
+    assert all(x is y for x, y in zip(first, second))
+    for x in first:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_conditional_joint_matches_conditional_probability(dim):
+    rng = rng_for(31, dim)
+    state = ginibre_state(dim, rng)
+    partition = random_atomic_partition(dim, rng)
+    ep = random_commuting_pair(dim, rng)
+    report = is_ccs(state, partition, ep)
+    assert report.zero_probability_elements == ()
+    for c, joint in zip(partition, report.conditional_joint):
+        expected = [conditional_probability(state, ProjectionEvent(x), c) for x in ep.products()]
+        assert joint == pytest.approx(expected, abs=1e-12)
