@@ -113,11 +113,14 @@ def _element_schmidt_product(vec: np.ndarray, dims: tuple, tol: Tolerance) -> bo
     return bool(sv[1:].max(initial=0.0) <= tol.eps_eq)
 
 
-def _all_elements_product(partition: Partition, dims: tuple, tol: Tolerance) -> bool:
+def _product_status(partition: Partition, bipartite: tuple | None, tol: Tolerance) -> ProductStatus:
+    """Whether every element of an atomic partition is a product vector in the split."""
+    if not partition.is_atomic() or bipartite is None:
+        return ProductStatus.NOT_APPLICABLE
     for c in partition:
-        if not _element_schmidt_product(principal_vector(c, tol), dims, tol):
-            return False
-    return True
+        if not _element_schmidt_product(principal_vector(c, tol), bipartite, tol):
+            return ProductStatus.SOME_NONPRODUCT
+    return ProductStatus.ALL_PRODUCT
 
 
 def _atomic_screening_identities(partition: Partition, pair: EventPair, tol: Tolerance):
@@ -229,7 +232,8 @@ def certify_triviality(
     """(TrivialityLevel, TrivialityCertificate) for a screening partition.
 
     Strongly trivial: screens every commuting pair in every state.  Certified
-    analytically for product-atomic partitions (given a bipartite split);
+    analytically in dimension 1 (every event is 0 or I) and for product-atomic
+    partitions (given a bipartite split);
     falsified by deterministic probes plus seeded sampling over commuting
     pairs and states.  Weakly trivial: screens the fixed pair in every state.
     Certified analytically for atomic partitions via the per-element
@@ -241,7 +245,8 @@ def certify_triviality(
         raise PreconditionError("triviality is only defined for partitions that screen off")
     if bipartite is None and partition.dim == 4:
         bipartite = (2, 2)
-    return _certify(partition, pair, state, cfg or SamplerConfig(), tol, bipartite)
+    product = _product_status(partition, bipartite, tol)
+    return _certify(partition, pair, state, cfg or SamplerConfig(), tol, bipartite, product)
 
 
 def _certify(
@@ -251,13 +256,24 @@ def _certify(
     cfg: SamplerConfig,
     tol: Tolerance,
     bipartite: tuple | None,
+    product: ProductStatus,
 ) -> tuple:
-    """Body of certify_triviality, for a triple already known to screen off."""
+    """Body of certify_triviality, for a triple already known to screen off,
+    given the partition's product status in the bipartite split."""
     rho_ref = density_matrix(state)
     dim = partition.dim
     atomic = partition.is_atomic()
 
-    if atomic and bipartite is not None and _all_elements_product(partition, bipartite, tol):
+    if dim == 1:
+        return (
+            TrivialityLevel.STRONG,
+            TrivialityCertificate(
+                CertificateKind.ANALYTIC,
+                "dimension 1: every event is 0 or I, so no pair is correlated in any state",
+            ),
+        )
+
+    if product is ProductStatus.ALL_PRODUCT:
         return (
             TrivialityLevel.STRONG,
             TrivialityCertificate(
@@ -370,22 +386,13 @@ def classify(
         bipartite = (2, 2)
 
     screening = is_ccs(state, partition, pair, tol)
-    atomic = partition.is_atomic()
-
-    if atomic and bipartite is not None:
-        product = (
-            ProductStatus.ALL_PRODUCT
-            if _all_elements_product(partition, bipartite, tol)
-            else ProductStatus.SOME_NONPRODUCT
-        )
-    else:
-        product = ProductStatus.NOT_APPLICABLE
+    product = _product_status(partition, bipartite, tol)
 
     notes = []
     counterexamples = []
     certificate = None
     if screening.holds:
-        triviality, certificate = _certify(partition, pair, state, cfg, tol, bipartite)
+        triviality, certificate = _certify(partition, pair, state, cfg, tol, bipartite, product)
         if certificate.counterexample is not None:
             counterexamples.append(certificate.counterexample)
         deterministic = (
@@ -402,7 +409,7 @@ def classify(
     return CCSReport(
         is_ccs=screening.holds,
         rank_profile=partition.rank_profile(),
-        atomic=atomic,
+        atomic=partition.is_atomic(),
         commutation=commutation_class(partition, pair, state, tol),
         product=product,
         triviality=triviality,

@@ -1,10 +1,14 @@
 """Randomized verification of the structural propositions.
 
-Each proposition is checked constructively: instances satisfying the
-hypotheses are generated from seeded strategies (documented per check), the
-hypotheses are re-verified through the public predicates, and the conclusion
-is asserted.  Any conclusion failure is recorded with the instance
-serialized verbatim.
+Each proposition is one record of the claim table ``_CLAIMS``: statement,
+strategy, hypothesis, conclusion, stream tag and instance builders.
+Instance i of a claim is built by ``builders[i % len(builders)]`` from the
+generator ``rng_for(seed, tag, i)`` at dimension ``_DIMS[i % 5]``; the tags
+are 101-107 in claim order.  Each instance is screened once (``is_ccs`` on
+its own triple) and the report is passed to both the hypothesis and the
+conclusion; hypotheses are verified through the public predicates and the
+conclusion is asserted.  Any conclusion failure is recorded with the
+instance serialized verbatim.
 
 The six propositions:
 
@@ -33,6 +37,8 @@ probability and is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,16 +47,17 @@ from .core import (
     CommutationClass,
     DensityState,
     EventPair,
+    NotACCSError,
     PERFECT_CLASSES,
     Partition,
     ProjectionEvent,
     Tolerance,
     DEFAULT_TOL,
+    _deterministic,
     commutation_class,
     correlation_class,
     density_matrix,
     is_ccs,
-    is_deterministic_ccs,
     satisfies_ltp,
 )
 from .classify import _atomic_screening_identities
@@ -114,12 +121,22 @@ def _serialize_instance(inst: PropositionInstance) -> dict:
 # Construction helpers
 # ---------------------------------------------------------------------------
 
-def _sector_indices(da: np.ndarray, db: np.ndarray) -> dict:
-    return {
-        (i, j): np.where((da == i) & (db == j))[0]
-        for i in (0, 1)
-        for j in (0, 1)
-    }
+def _random_sectors(rng: np.random.Generator, dim: int, perfect: bool, haar: bool = True) -> tuple:
+    """(pair, blocks): a commuting pair diagonal in a basis u (Haar-random, or
+    the standard basis when not haar) and blocks[(i, j)], the columns of u
+    where A = i and B = j.  Perfect: redrawn until AB or A'B' is nonempty."""
+    while True:
+        u = haar_unitary(dim, rng) if haar else np.eye(dim, dtype=complex)
+        da = random_diagonal_pattern(dim, rng)
+        db = random_diagonal_pattern(dim, rng)
+        blocks = {(i, j): u[:, (da == i) & (db == j)] for i in (0, 1) for j in (0, 1)}
+        if not perfect or blocks[(1, 1)].shape[1] + blocks[(0, 0)].shape[1] > 0:
+            return (_pair_from_patterns(u, da, db), blocks)
+
+
+def _haar_or_identity(k: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar unitary of size k; no draw for k = 1."""
+    return haar_unitary(k, rng) if k > 1 else np.eye(1, dtype=complex)
 
 
 def _random_groups(cols: np.ndarray, rng: np.random.Generator, atomic: bool = False) -> list:
@@ -127,8 +144,7 @@ def _random_groups(cols: np.ndarray, rng: np.random.Generator, atomic: bool = Fa
     k = cols.shape[1]
     if k == 0:
         return []
-    w = haar_unitary(k, rng) if k > 1 else np.eye(1, dtype=complex)
-    rotated = cols @ w
+    rotated = cols @ _haar_or_identity(k, rng)
     if atomic:
         return [rotated[:, [j]] for j in range(k)]
     n_cuts = int(rng.integers(0, k))
@@ -155,8 +171,7 @@ def _rotate_jointly(groups: list, rng: np.random.Generator) -> list:
     if not groups:
         return []
     cz = np.concatenate(groups, axis=1)
-    w = haar_unitary(cz.shape[1], rng) if cz.shape[1] > 1 else np.eye(1, dtype=complex)
-    rotated = cz @ w
+    rotated = cz @ _haar_or_identity(cz.shape[1], rng)
     sizes = np.cumsum([g.shape[1] for g in groups])[:-1]
     return np.split(rotated, sizes, axis=1)
 
@@ -177,36 +192,36 @@ def _random_cs(rng: np.random.Generator, bounded_away: bool = False) -> tuple:
 _DIMS = (4, 4, 4, 6, 8)
 
 
-def _weakly_commuting_ccs_instance(rng: np.random.Generator, dim: int) -> PropositionInstance:
-    """Sector-refined partition for a random commuting pair; a random subset of
-    blocks is pushed to zero probability and jointly rotated (those elements
-    may then fail to commute, but only at zero probability)."""
-    u = haar_unitary(dim, rng)
-    da = random_diagonal_pattern(dim, rng)
-    db = random_diagonal_pattern(dim, rng)
-    pair = _pair_from_patterns(u, da, db)
-    groups = []
-    for idx in _sector_indices(da, db).values():
-        groups.extend(_random_groups(u[:, idx], rng))
-    corrupt = rng.random(len(groups)) < 0.4
+def _corrupted_sector_instance(
+    rng: np.random.Generator, dim: int, atomic: bool
+) -> PropositionInstance:
+    """Sector-refined partition for a random commuting pair (atomic: per-sector
+    orthonormal bases); a random subset of groups is pushed to zero
+    probability and jointly rotated (those elements may then fail to commute,
+    but only at zero probability).  Atomic instances carry two extra
+    compatible states and the commuting flag in aux."""
+    pair, blocks = _random_sectors(rng, dim, perfect=False)
+    groups = [g for cols in blocks.values() for g in _random_groups(cols, rng, atomic)]
+    corrupt = rng.random(len(groups)) < (0.35 if atomic else 0.4)
     if corrupt.all():
         corrupt[int(rng.integers(len(groups)))] = False
     kept = [g for g, c in zip(groups, corrupt) if not c]
     zeroed = _rotate_jointly([g for g, c in zip(groups, corrupt) if c], rng)
-    state = _state_on_span(np.concatenate(kept, axis=1), rng)
+    support = np.concatenate(kept, axis=1)
+    state = _state_on_span(support, rng)
     partition = Partition(tuple(_projector(g) for g in kept + zeroed))
-    return PropositionInstance(state, partition, pair, f"sector-refined dim={dim}")
-
-
-def _perfect_sectors(rng: np.random.Generator, dim: int) -> tuple:
-    """Commuting pair plus sector split with a nonempty perfect block."""
-    while True:
-        u = haar_unitary(dim, rng)
-        da = random_diagonal_pattern(dim, rng)
-        db = random_diagonal_pattern(dim, rng)
-        sectors = _sector_indices(da, db)
-        if len(sectors[(1, 1)]) + len(sectors[(0, 0)]) > 0:
-            return (u, da, db, sectors)
+    if not atomic:
+        return PropositionInstance(state, partition, pair, f"sector-refined dim={dim}")
+    return PropositionInstance(
+        state,
+        partition,
+        pair,
+        f"weakly commuting atomic dim={dim}",
+        aux={
+            "extra_states": [_state_on_span(support, rng) for _ in range(2)],
+            "fully_commuting": not corrupt.any(),
+        },
+    )
 
 
 def _perfect_sector_instance(
@@ -216,12 +231,11 @@ def _perfect_sector_instance(
     the partition refines those sectors (commuting with the pair) and the
     rotated zero-probability rest.  Atomic: every group is a single random
     basis vector."""
-    u, da, db, sectors = _perfect_sectors(rng, dim)
-    pair = _pair_from_patterns(u, da, db)
+    pair, blocks = _random_sectors(rng, dim, perfect=True)
     support_groups = []
     for key in ((1, 1), (0, 0)):
-        support_groups.extend(_random_groups(u[:, sectors[key]], rng, atomic))
-    off_cols = u[:, np.concatenate([sectors[(1, 0)], sectors[(0, 1)]])]
+        support_groups.extend(_random_groups(blocks[key], rng, atomic))
+    off_cols = np.concatenate([blocks[(1, 0)], blocks[(0, 1)]], axis=1)
     zeroed = _rotate_jointly(_random_groups(off_cols, rng, atomic), rng)
     state = _state_on_span(np.concatenate(support_groups, axis=1), rng)
     partition = Partition(tuple(_projector(g) for g in support_groups + zeroed))
@@ -235,15 +249,12 @@ def _perfect_nonatomic_noncommuting_instance(
     """Rank-mixed two-element partition: each element is one perfect sector
     plus a rotated chunk of the zero-probability complement, so the elements
     have nonzero probability and need not commute with the pair."""
-    u, da, db, sectors = _perfect_sectors(rng, dim)
-    pair = _pair_from_patterns(u, da, db)
-    p11 = u[:, sectors[(1, 1)]]
-    p00 = u[:, sectors[(0, 0)]]
-    off = u[:, np.concatenate([sectors[(1, 0)], sectors[(0, 1)]])]
+    pair, blocks = _random_sectors(rng, dim, perfect=True)
+    p11, p00 = blocks[(1, 1)], blocks[(0, 0)]
+    off = np.concatenate([blocks[(1, 0)], blocks[(0, 1)]], axis=1)
     k = off.shape[1]
     if k:
-        w = haar_unitary(k, rng) if k > 1 else np.eye(1, dtype=complex)
-        off = off @ w
+        off = off @ _haar_or_identity(k, rng)
         split = int(rng.integers(0, k + 1))
         r_plus, r_minus = off[:, :split], off[:, split:]
     else:
@@ -258,81 +269,40 @@ def _perfect_nonatomic_noncommuting_instance(
     )
 
 
-def _family_perfect_instance(rng: np.random.Generator, rank_two: bool) -> PropositionInstance:
-    c, s = _random_cs(rng)
-    r1, r2, r3 = _random_ball_point(rng)
-    family = Family.CCS22ntratC if rank_two else Family.CCSntratC
-    params = FamilyParams(c=c, s=s, r1=r1, r2=r2, r3=r3)
-    inst = generate(family, params)
+def _family_instance(
+    rng: np.random.Generator, dim: int, family: Family, contrast: bool = False
+) -> PropositionInstance:
+    """A rotated two-qubit family over its perfect-correlation state (dim is
+    unused).  Contrast: amplitudes bounded away from zero and the Bloch point
+    shrunk by 0.8."""
+    c, s = _random_cs(rng, bounded_away=contrast)
+    r = np.array(_random_ball_point(rng))
+    if contrast:
+        r = r * 0.8
+    params = FamilyParams(c=c, s=s, r1=r[0], r2=r[1], r3=r[2])
+    label = "rank-two noncommuting family" if contrast else f"{family.value} family"
     return PropositionInstance(
         associated_state(family, params),
-        inst.partition,
+        generate(family, params).partition,
         canonical_events(),
-        f"{family.value} family",
-    )
-
-
-def _wcomm_atomic_instance(rng: np.random.Generator, dim: int) -> PropositionInstance:
-    """Weakly commuting atomic partition: per-sector orthonormal bases, then a
-    random cross-sector subset rotated into noncommuting vectors of zero
-    probability.  aux carries extra compatible states and the commuting flag."""
-    u = haar_unitary(dim, rng)
-    da = random_diagonal_pattern(dim, rng)
-    db = random_diagonal_pattern(dim, rng)
-    pair = _pair_from_patterns(u, da, db)
-    vectors = []
-    for idx in _sector_indices(da, db).values():
-        vectors.extend(_random_groups(u[:, idx], rng, atomic=True))
-    corrupt = rng.random(len(vectors)) < 0.35
-    if corrupt.all():
-        corrupt[int(rng.integers(len(vectors)))] = False
-    kept = [v for v, c in zip(vectors, corrupt) if not c]
-    zeroed = _rotate_jointly([v for v, c in zip(vectors, corrupt) if c], rng)
-    support = np.concatenate(kept, axis=1)
-    state = _state_on_span(support, rng)
-    extra_states = [_state_on_span(support, rng) for _ in range(2)]
-    partition = Partition(tuple(_projector(v) for v in kept + zeroed))
-    return PropositionInstance(
-        state,
-        partition,
-        pair,
-        f"weakly commuting atomic dim={dim}",
-        aux={"extra_states": extra_states, "fully_commuting": not corrupt.any()},
+        label,
     )
 
 
 def _classical_instance(rng: np.random.Generator, dim: int) -> PropositionInstance:
     """Everything diagonal in one basis: the classical embedding."""
-    da = random_diagonal_pattern(dim, rng)
-    db = random_diagonal_pattern(dim, rng)
-    pair = _pair_from_patterns(np.eye(dim, dtype=complex), da, db)
+    pair, _ = _random_sectors(rng, dim, perfect=False, haar=False)
     partition = Partition.from_vectors(list(np.eye(dim, dtype=complex)))
     state = ginibre_state(dim, rng)
     return PropositionInstance(state, partition, pair, f"classical dim={dim}")
 
 
-def _contrast_instance(rng: np.random.Generator) -> PropositionInstance:
-    c, s = _random_cs(rng, bounded_away=True)
-    x = np.array(_random_ball_point(rng)) * 0.8
-    params = FamilyParams(c=c, s=s, r1=x[0], r2=x[1], r3=x[2])
-    inst = generate(Family.CCS22ntratC, params)
-    return PropositionInstance(
-        associated_state(Family.CCS22ntratC, params),
-        inst.partition,
-        canonical_events(),
-        "rank-two noncommuting family",
-    )
-
-
 # ---------------------------------------------------------------------------
-# Hypothesis / conclusion predicates
+# Hypothesis / conclusion predicates, given the instance's screening report
 # ---------------------------------------------------------------------------
 
-def _is_weakly_commuting_ccs(inst, tol):
-    return (
-        is_ccs(inst.state, inst.partition, inst.pair, tol).holds
-        and commutation_class(inst.partition, inst.pair, inst.state, tol) in _WEAKLY
-    )
+def _commutes_weakly(inst, tol):
+    return commutation_class(inst.partition, inst.pair, inst.state, tol) in _WEAKLY
 
 
 def _is_perfect(inst, tol):
@@ -343,12 +313,18 @@ def _obeys_ltp(inst, tol):
     return satisfies_ltp(inst.state, inst.partition, inst.pair, tol).holds
 
 
-def _is_deterministic(inst, tol):
-    return is_deterministic_ccs(inst.state, inst.partition, inst.pair, tol)
+def _perfect_ltp_ccs(inst, screening, tol):
+    return _is_perfect(inst, tol) and screening.holds and _obeys_ltp(inst, tol)
 
 
-def _conclusion_wcomm_atomic(inst, tol):
-    if not is_ccs(inst.state, inst.partition, inst.pair, tol).holds:
+def _is_deterministic(inst, screening, tol):
+    if not screening.holds:
+        raise NotACCSError("partition does not screen off the correlation in this state")
+    return _deterministic(inst.state, inst.partition, inst.pair, screening, tol)
+
+
+def _conclusion_wcomm_atomic(inst, screening, tol):
+    if not screening.holds:
         return False
     for extra in inst.aux.get("extra_states", ()):
         if not is_ccs(extra, inst.partition, inst.pair, tol).holds:
@@ -360,151 +336,116 @@ def _conclusion_wcomm_atomic(inst, tol):
     return True
 
 
-def _conclusion_classical(inst, tol):
-    return (
-        is_ccs(inst.state, inst.partition, inst.pair, tol).holds
-        and satisfies_ltp(inst.state, inst.partition, inst.pair, tol).holds
-    )
-
-
-def _conclusion_contrast(inst, tol):
+def _conclusion_contrast(inst, screening, tol):
     return (
         not inst.partition.is_atomic()
         and commutation_class(inst.partition, inst.pair, inst.state, tol)
         is CommutationClass.NONCOMMUTING
-        and satisfies_ltp(inst.state, inst.partition, inst.pair, tol).holds
-        and is_deterministic_ccs(inst.state, inst.partition, inst.pair, tol)
+        and _obeys_ltp(inst, tol)
+        and _is_deterministic(inst, screening, tol)
     )
 
 
 # ---------------------------------------------------------------------------
-# Streams and the driver
+# The claim table and the driver
 # ---------------------------------------------------------------------------
 
-def _stream_commltp(cfg, n):
-    for i in range(n):
-        rng = rng_for(cfg.seed, 101, i)
-        yield _weakly_commuting_ccs_instance(rng, _DIMS[i % len(_DIMS)])
+class _Claim(NamedTuple):
+    statement: str
+    strategy: str
+    hypothesis: Callable  # (inst, screening, tol) -> bool
+    conclusion: Callable  # (inst, screening, tol) -> bool
+    tag: int
+    builders: tuple  # each (rng, dim) -> PropositionInstance
 
 
-def _stream_classmaxodet(cfg, n):
-    for i in range(n):
-        rng = rng_for(cfg.seed, 102, i)
-        if i % 3 == 2:
-            yield _family_perfect_instance(rng, rank_two=False)
-        else:
-            yield _perfect_sector_instance(rng, _DIMS[i % len(_DIMS)])
+_SECTOR = partial(_perfect_sector_instance, atomic=False)
+_ATOMIC = partial(_perfect_sector_instance, atomic=True)
+_ATOMIC_FAMILY = partial(_family_instance, family=Family.CCSntratC)
 
-
-def _stream_ltp_pc_determ(cfg, n):
-    for i in range(n):
-        rng = rng_for(cfg.seed, 103, i)
-        pick = i % 4
-        if pick == 0:
-            yield _perfect_nonatomic_noncommuting_instance(rng, _DIMS[i % len(_DIMS)])
-        elif pick == 1:
-            yield _family_perfect_instance(rng, rank_two=True)
-        elif pick == 2:
-            yield _perfect_sector_instance(rng, _DIMS[i % len(_DIMS)], atomic=True)
-        else:
-            yield _perfect_sector_instance(rng, _DIMS[i % len(_DIMS)])
-
-
-def _stream_atomic_wcomm(cfg, n):
-    for i in range(n):
-        rng = rng_for(cfg.seed, 104, i)
-        if i % 3 == 2:
-            yield _family_perfect_instance(rng, rank_two=False)
-        else:
-            yield _perfect_sector_instance(rng, _DIMS[i % len(_DIMS)], atomic=True)
-
-
-def _stream_wcomm_atomic_ccs(cfg, n):
-    for i in range(n):
-        rng = rng_for(cfg.seed, 105, i)
-        yield _wcomm_atomic_instance(rng, _DIMS[i % len(_DIMS)])
-
-
-def _stream_classical(cfg, n):
-    for i in range(n):
-        rng = rng_for(cfg.seed, 106, i)
-        yield _classical_instance(rng, _DIMS[i % len(_DIMS)])
-
-
-def _stream_contrast(cfg, n):
-    for i in range(n):
-        yield _contrast_instance(rng_for(cfg.seed, 107, i))
-
-
-_PROPOSITIONS = {
-    "weakly_commuting_ccs_obeys_ltp": (
+_CLAIMS = {
+    "weakly_commuting_ccs_obeys_ltp": _Claim(
         "weakly commuting CCS => law of total probability",
         "sector-refined commuting partitions with zero-probability corruption",
-        _is_weakly_commuting_ccs,
-        _obeys_ltp,
-        _stream_commltp,
+        lambda inst, screening, tol: screening.holds and _commutes_weakly(inst, tol),
+        lambda inst, screening, tol: _obeys_ltp(inst, tol),
+        101,
+        (partial(_corrupted_sector_instance, atomic=False),),
     ),
-    "perfect_weakly_commuting_ccs_deterministic": (
+    "perfect_weakly_commuting_ccs_deterministic": _Claim(
         "perfect correlation + weakly commuting CCS => deterministic",
         "states supported on the joint sectors; sector-refined CCSs and the "
         "atomic rotated family over perfect-correlation states",
-        lambda inst, tol: _is_perfect(inst, tol) and _is_weakly_commuting_ccs(inst, tol),
+        lambda inst, screening, tol: _is_perfect(inst, tol)
+        and screening.holds
+        and _commutes_weakly(inst, tol),
         _is_deterministic,
-        _stream_classmaxodet,
+        102,
+        (_SECTOR, _SECTOR, _ATOMIC_FAMILY),
     ),
-    "perfect_ltp_ccs_deterministic": (
+    "perfect_ltp_ccs_deterministic": _Claim(
         "perfect correlation + CCS + law of total probability => deterministic",
         "sector constructions including noncommuting rank-mixed partitions "
         "and the rank-two family",
-        lambda inst, tol: _is_perfect(inst, tol)
-        and is_ccs(inst.state, inst.partition, inst.pair, tol).holds
-        and _obeys_ltp(inst, tol),
+        _perfect_ltp_ccs,
         _is_deterministic,
-        _stream_ltp_pc_determ,
+        103,
+        (
+            _perfect_nonatomic_noncommuting_instance,
+            partial(_family_instance, family=Family.CCS22ntratC),
+            _ATOMIC,
+            _SECTOR,
+        ),
     ),
-    "perfect_ltp_atomic_ccs_weakly_commuting": (
+    "perfect_ltp_atomic_ccs_weakly_commuting": _Claim(
         "perfect correlation + atomic CCS + law of total probability => weakly commuting",
         "atomic sector bases with rotated zero-probability complements; "
         "atomic rotated family over perfect-correlation states",
-        lambda inst, tol: inst.partition.is_atomic()
-        and _is_perfect(inst, tol)
-        and is_ccs(inst.state, inst.partition, inst.pair, tol).holds
-        and _obeys_ltp(inst, tol),
-        lambda inst, tol: commutation_class(inst.partition, inst.pair, inst.state, tol)
-        in _WEAKLY,
-        _stream_atomic_wcomm,
+        lambda inst, screening, tol: inst.partition.is_atomic()
+        and _perfect_ltp_ccs(inst, screening, tol),
+        lambda inst, screening, tol: _commutes_weakly(inst, tol),
+        104,
+        (_ATOMIC, _ATOMIC, _ATOMIC_FAMILY),
     ),
-    "weakly_commuting_atomic_partition_is_ccs": (
+    "weakly_commuting_atomic_partition_is_ccs": _Claim(
         "weakly commuting atomic partition => CCS (state-independently when "
         "fully commuting)",
         "per-sector atomic bases, random cross-sector zero-probability corruption, "
         "extra compatible states",
-        lambda inst, tol: inst.partition.is_atomic()
-        and commutation_class(inst.partition, inst.pair, inst.state, tol) in _WEAKLY,
+        lambda inst, screening, tol: inst.partition.is_atomic() and _commutes_weakly(inst, tol),
         _conclusion_wcomm_atomic,
-        _stream_wcomm_atomic_ccs,
+        105,
+        (partial(_corrupted_sector_instance, atomic=True),),
     ),
-    "classical_atomic_partition_strongly_trivial": (
+    "classical_atomic_partition_strongly_trivial": _Claim(
         "diagonal atomic partition screens every diagonal pair in every state "
         "and obeys the law of total probability",
         "computational-basis partition, random diagonal pairs, random full-rank states",
-        lambda inst, tol: True,
-        _conclusion_classical,
-        _stream_classical,
+        lambda inst, screening, tol: True,
+        lambda inst, screening, tol: screening.holds and _obeys_ltp(inst, tol),
+        106,
+        (_classical_instance,),
     ),
-    "nonatomic_noncommuting_ltp_contrast": (
+    "nonatomic_noncommuting_ltp_contrast": _Claim(
         "the rank-two family over perfect-correlation states is noncommuting, "
         "obeys the law of total probability and is deterministic (atomicity is "
         "essential in the weak-commutation proposition)",
         "rank-two family with both amplitudes bounded away from zero",
-        lambda inst, tol: _is_perfect(inst, tol)
-        and is_ccs(inst.state, inst.partition, inst.pair, tol).holds,
+        lambda inst, screening, tol: _is_perfect(inst, tol) and screening.holds,
         _conclusion_contrast,
-        _stream_contrast,
+        107,
+        (partial(_family_instance, family=Family.CCS22ntratC, contrast=True),),
     ),
 }
 
-PROPOSITION_NAMES = tuple(_PROPOSITIONS)
+PROPOSITION_NAMES = tuple(_CLAIMS)
+
+
+def _instances(claim: _Claim, cfg: SamplerConfig):
+    """The claim's seeded stream of cfg.n_states instances."""
+    for i in range(cfg.n_states):
+        build = claim.builders[i % len(claim.builders)]
+        yield build(rng_for(cfg.seed, claim.tag, i), _DIMS[i % len(_DIMS)])
 
 
 def check_proposition(
@@ -520,19 +461,21 @@ def check_proposition(
     With the default stream, a hypothesis failure indicates a broken
     construction and raises.  Supplying ``instances`` with
     ``verify_hypotheses=False`` allows fault-injection self-tests: the
-    conclusion is then asserted on the instances as given.
+    conclusion is then asserted on the instances as given (a determinism
+    conclusion raises NotACCSError on an instance that does not screen off).
     """
-    if name not in _PROPOSITIONS:
+    if name not in _CLAIMS:
         raise KeyError(f"unknown proposition {name!r}; known: {PROPOSITION_NAMES}")
-    statement, strategy, hypothesis, conclusion, default_stream = _PROPOSITIONS[name]
+    claim = _CLAIMS[name]
     cfg = cfg or SamplerConfig()
     own_stream = instances is None
     if own_stream:
-        instances = default_stream(cfg, cfg.n_states)
-    report = PropositionReport(name, statement, strategy)
+        instances = _instances(claim, cfg)
+    report = PropositionReport(name, claim.statement, claim.strategy)
     for inst in instances:
         report.instances += 1
-        if verify_hypotheses and not hypothesis(inst, tol):
+        screening = is_ccs(inst.state, inst.partition, inst.pair, tol)
+        if verify_hypotheses and not claim.hypothesis(inst, screening, tol):
             if own_stream:
                 raise CCSLabError(
                     f"instance construction for {name} violated its own hypotheses "
@@ -540,7 +483,7 @@ def check_proposition(
                 )
             report.hypothesis_failures += 1
             continue
-        if not conclusion(inst, tol):
+        if not claim.conclusion(inst, screening, tol):
             report.violations += 1
             if len(report.counterexamples) < max_recorded:
                 report.counterexamples.append(_serialize_instance(inst))

@@ -95,7 +95,9 @@ def random_state(dim: int, rng: np.random.Generator, method: SamplingMethod):
 
 
 def random_diagonal_pattern(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Nontrivial 0/1 pattern (neither all zeros nor all ones)."""
+    """Nontrivial 0/1 pattern (neither all zeros nor all ones); needs dim >= 2."""
+    if dim < 2:
+        raise ValidationError(f"a nontrivial 0/1 pattern needs dimension >= 2, got {dim}")
     while True:
         pattern = rng.integers(0, 2, size=dim)
         if 0 < pattern.sum() < dim:

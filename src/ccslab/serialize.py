@@ -55,8 +55,12 @@ def _complex_out(z) -> list:
 
 
 def _complex_in(v) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ValidationError(f"complex entries are [re, im] pairs, got {v!r}")
+    if not (
+        isinstance(v, (list, tuple))
+        and len(v) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+    ):
+        raise ValidationError(f"complex entries are [re, im] pairs of numbers, got {v!r}")
     return complex(float(v[0]), float(v[1]))
 
 
@@ -66,8 +70,10 @@ def _matrix_out(m: np.ndarray) -> list:
 
 
 def _matrix_in(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ValidationError("matrix payload must be a non-empty nested array")
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        raise ValidationError("matrix payload must be a non-empty array of rows")
+    if len({len(r) for r in rows}) > 1:
+        raise ValidationError("matrix rows must all have the same length")
     data = [[_complex_in(v) for v in row] for row in rows]
     return np.array(data, dtype=complex)
 
@@ -179,6 +185,15 @@ def _payload_field(payload: dict, key: str):
     return payload[key]
 
 
+def _enum_field(payload: dict, key: str, enum_cls):
+    value = _payload_field(payload, key)
+    try:
+        return enum_cls(value)
+    except ValueError:
+        known = [e.value for e in enum_cls]
+        raise ValidationError(f"field {key!r} is {value!r}; expected one of {known}") from None
+
+
 def parse_document(doc: dict):
     """Inverse of emit_document (up to the optional meta block)."""
     kind = document_kind(doc)
@@ -200,8 +215,10 @@ def parse_document(doc: dict):
     cert_doc = payload.get("certificate")
     cert = None
     if cert_doc is not None:
+        if not isinstance(cert_doc, dict):
+            raise ValidationError("certificate must be an object or null")
         cert = TrivialityCertificate(
-            kind=CertificateKind(cert_doc["kind"]),
+            kind=_enum_field(cert_doc, "kind", CertificateKind),
             detail=cert_doc.get("detail", ""),
             seed=cert_doc.get("seed"),
             n=cert_doc.get("n"),
@@ -215,13 +232,13 @@ def parse_document(doc: dict):
         is_ccs=bool(_payload_field(payload, "is_ccs")),
         rank_profile=tuple(_payload_field(payload, "rank_profile")),
         atomic=bool(_payload_field(payload, "atomic")),
-        commutation=CommutationClass(_payload_field(payload, "commutation")),
-        product=ProductStatus(_payload_field(payload, "product")),
-        triviality=TrivialityLevel(_payload_field(payload, "triviality")),
+        commutation=_enum_field(payload, "commutation", CommutationClass),
+        product=_enum_field(payload, "product", ProductStatus),
+        triviality=_enum_field(payload, "triviality", TrivialityLevel),
         ltp=bool(_payload_field(payload, "ltp")),
         ltp_residuals=tuple(float(r) for r in _payload_field(payload, "ltp_residuals")),
-        deterministic=Determinism(_payload_field(payload, "deterministic")),
-        correlation_class=CorrelationClass(_payload_field(payload, "correlation_class")),
+        deterministic=_enum_field(payload, "deterministic", Determinism),
+        correlation_class=_enum_field(payload, "correlation_class", CorrelationClass),
         zero_probability_elements=tuple(payload.get("zero_probability_elements", ())),
         certificate=cert,
         counterexamples=tuple(

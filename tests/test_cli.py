@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from ccslab.families import Family, FamilyParams, associated_state, generate, sp
 from ccslab.serialize import emit_document
 
 RT5 = math.sqrt(5.0)
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _write(tmp_path, name, obj):
@@ -226,3 +230,53 @@ def test_props_violation_exits_1_with_json_counterexamples(capsys, monkeypatch):
     doc = json.loads(lines[0])
     assert doc["proposition"] == "injected"
     assert doc["counterexample"]["label"] == "injected"
+
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        [[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]],  # ragged rows
+        [[["a", 0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],  # non-numeric entry
+        [1, 2],  # flat array
+        [[1, 2], [3, 4]],  # bare numbers where [re, im] pairs belong
+        [[[0.5, 0.0], [0.0, 0.0]], 7],  # a row that is not an array
+    ],
+    ids=["ragged", "non_numeric", "flat", "bare_numbers", "scalar_row"],
+)
+def test_classify_malformed_matrix_is_input_error(tmp_path, capsys, rho):
+    from ccslab.core import EventPair, Partition, ProjectionEvent
+
+    state_file = tmp_path / "state.json"
+    state_file.write_text(
+        json.dumps({"version": "1", "kind": "state", "payload": {"dim": 2, "rho": rho}})
+    )
+    identity, zero = ProjectionEvent.identity(2), ProjectionEvent.zero(2)
+    partition_file = _write(tmp_path, "part.json", Partition((identity,)))
+    pair_file = _write(tmp_path, "pair.json", EventPair(identity, zero))
+    assert main(["classify", str(state_file), partition_file, pair_file]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_classify_one_dimensional_triple_terminates(tmp_path):
+    # every event of C^1 is 0 or I: strongly trivial without sampling probes;
+    # in a subprocess with a timeout, since a hang here would stall the suite
+    from ccslab.core import DensityState, EventPair, Partition, ProjectionEvent
+
+    identity, zero = ProjectionEvent.identity(1), ProjectionEvent.zero(1)
+    files = [
+        _write(tmp_path, "s.json", DensityState.maximally_mixed(1)),
+        _write(tmp_path, "p.json", Partition((identity,))),
+        _write(tmp_path, "pair.json", EventPair(identity, zero)),
+    ]
+    done = subprocess.run(
+        [sys.executable, "-m", "ccslab.cli", "classify", *files],
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)["payload"]
+    assert payload["triviality"] == "strong"
+    assert payload["certificate"]["kind"] == "analytic"

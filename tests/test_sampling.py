@@ -1,5 +1,9 @@
 """Seeded samplers: determinism, validity, splittability, Haar statistics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -89,3 +93,26 @@ def test_mean_concurrence_matches_monte_carlo_oracle():
     values = [concurrence_squared(psi) for psi in draws]
     mean = float(np.mean(values))
     assert abs(mean - oracle_mean) <= 3.0 * oracle_sigma / np.sqrt(len(values))
+
+
+def test_diagonal_pattern_rejects_dimension_one():
+    # no nontrivial 0/1 pattern exists in dimension 1; run in a subprocess
+    # with a timeout, since a rejection loop would never return
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "from ccslab.core import ValidationError\n"
+        "from ccslab.sampling import random_diagonal_pattern, rng_for\n"
+        "try:\n"
+        "    random_diagonal_pattern(1, rng_for(0))\n"
+        "except ValidationError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -107,3 +107,55 @@ def test_malformed_complex_entries_rejected():
     doc["payload"]["psi"][0] = [1.0]
     with pytest.raises(ValidationError):
         parse_document(doc)
+
+
+def _report_doc():
+    inst = generate(Family.CCSntrat, FamilyParams(theta=math.pi / 3))
+    report = classify(
+        inst.partition,
+        canonical_events(),
+        reference_state(Family.CCSntrat, FamilyParams(theta=math.pi / 3)),
+        SamplerConfig(seed=42, n_states=20),
+    )
+    return json.loads(json.dumps(emit_document(report)))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("commutation", "sideways"),
+        ("product", "mostly"),
+        ("triviality", "medium"),
+        ("deterministic", "maybe"),
+        ("correlation_class", ["perfectly_correlated"]),
+    ],
+)
+def test_report_unknown_enum_value_rejected(field, value):
+    doc = _report_doc()
+    doc["payload"][field] = value
+    with pytest.raises(ValidationError, match=field):
+        parse_document(doc)
+
+
+@pytest.mark.parametrize("certificate", [{"detail": "no kind"}, {"kind": "guessed"}, "analytic"])
+def test_report_malformed_certificate_rejected(certificate):
+    doc = _report_doc()
+    doc["payload"]["certificate"] = certificate
+    with pytest.raises(ValidationError):
+        parse_document(doc)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+        [[["a", 0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        [1, 2],
+    ],
+    ids=["ragged", "non_numeric", "boolean", "flat"],
+)
+def test_malformed_matrix_payload_rejected(rho):
+    doc = {"version": SCHEMA_VERSION, "kind": "state", "payload": {"dim": 2, "rho": rho}}
+    with pytest.raises(ValidationError):
+        parse_document(doc)
