@@ -7,6 +7,15 @@ classification of a family at given parameter values, with
 parameter-conditional entries evaluated; the golden test suite checks the
 classifier against these rows.
 
+Every family is one record of the private table ``_CATALOG``: its required
+parameters, whether it is atomic, its four orthonormal kets (atomic
+families project onto each ket, the others pair kets 0,1 and 2,3 into two
+rank-two elements), its associated state (None for a state-independent
+family) and its reference row.  A family whose row depends on its
+parameters also has a ``degenerate_row``: the row at theta in pi*Z (theta
+families) or at c*s = 0 (c, s families), where the construction degenerates
+to a commuting or product one; ``row`` holds everywhere else.
+
 Identifiers are stable strings (they are the CLI surface); parameters are
 always radians / normalized amplitudes.
 """
@@ -16,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,7 +42,6 @@ from .twoqubit import (
     KET_PLUS,
     TWIST_PHASES,
     basis_ket,
-    canonical_events,
     diagonal_unitary,
     local_rotation,
     perfect_correlation_state,
@@ -98,32 +107,6 @@ class Family(enum.Enum):
             raise KeyError(f"unknown family {tag!r}; known: {[f.value for f in cls]}") from None
 
 
-#: Parameters each family's partition construction requires.
-REQUIRED_PARAMS = {
-    Family.TrivAB2: (),
-    Family.TrivAB4: (),
-    Family.CCSclass: (),
-    Family.CCSGabor: (),
-    Family.CCSclassU: ("theta",),
-    Family.CCStwist: ("theta",),
-    Family.CCSBell: ("theta",),
-    Family.CCShyper: ("xi", "zeta"),
-    Family.CCSntrat: ("theta",),
-    Family.CCSntratU: ("theta",),
-    Family.CCS22ntrat: ("theta",),
-    Family.CCS22ntratU: ("theta",),
-    Family.CLTP: (),
-    Family.CCSclassUspec: (),
-    Family.CCStwistLTPspec: (),
-    Family.CCSntratC: ("c", "s"),
-    Family.CCS22ntratC: ("c", "s"),
-}
-
-
-def required_parameters(family: Family) -> tuple:
-    return REQUIRED_PARAMS[family]
-
-
 # state-parameter defaults where the CLI has no dedicated flags
 _DEFAULT_CLTP_AB = (math.sqrt(3.0) / 2.0, 0.5)
 _DEFAULT_PERFECT_R = (0.3, 0.4, 0.5)
@@ -153,14 +136,40 @@ class FamilyInstance:
     state: DensityState | None = None
 
 
+class TrivialityLevel(enum.Enum):
+    STRONG = "strong"
+    WEAK = "weak"
+    NONTRIVIAL = "nontrivial"
+    NOT_A_CCS = "not_a_ccs"
+
+
+@dataclass(frozen=True)
+class TableRow:
+    """Reference classification of a family at fixed parameters.
+
+    ``None`` marks entries excluded from golden comparison: either
+    not-applicable cells (e.g. productness of nonatomic partitions) or
+    unresolved ones (law of total probability where no ground truth is
+    stated).  State-dependent entries refer to the family's reference
+    state (see goldentable.reference_state).
+    """
+
+    family: Family
+    is_ccs: bool
+    atomic: bool
+    commuting: CommutationClass
+    all_product: bool | None
+    triviality: TrivialityLevel | None
+    ltp: bool | None
+    deterministic: bool | None
+
+
 def is_pi_multiple(theta: float, tol: float = 1e-9) -> bool:
     return abs(math.remainder(theta, math.pi)) <= tol
 
 
-def _require(params: FamilyParams, family: Family) -> None:
-    for name in REQUIRED_PARAMS[family]:
-        if getattr(params, name) is None:
-            raise MissingParameterError(f"family {family.value} needs parameter {name!r}")
+def _cs_degenerate(c: complex, s: complex, tol: float = 1e-9) -> bool:
+    return abs(c) <= tol or abs(s) <= tol
 
 
 def _check_unit_pair(x: complex, y: complex, what: str) -> None:
@@ -190,155 +199,83 @@ def twisted_product_vectors(theta: float) -> list:
     return [v @ g for g in rotated_product_vectors(theta)]
 
 
+def _basis_vectors() -> list:
+    return [basis_ket(i, j) for i in (0, 1) for j in (0, 1)]
+
+
+_PM = (KET_PLUS, KET_MINUS)
+
+
 def _gabor_vectors() -> list:
-    return [
-        product_ket(KET_PLUS, KET_PLUS),
-        product_ket(KET_PLUS, KET_MINUS),
-        product_ket(KET_MINUS, KET_PLUS),
-        product_ket(KET_MINUS, KET_MINUS),
-    ]
+    return [product_ket(x, y) for x in _PM for y in _PM]
+
+
+def _half_angle(theta: float) -> tuple:
+    return math.cos(theta / 2.0), math.sin(theta / 2.0)
 
 
 def _bell_family_vectors(theta: float) -> list:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    k0p = product_ket((1, 0), KET_PLUS)
-    k0m = product_ket((1, 0), KET_MINUS)
-    k1p = product_ket((0, 1), KET_PLUS)
-    k1m = product_ket((0, 1), KET_MINUS)
+    c, s = _half_angle(theta)
+    k0p, k0m, k1p, k1m = (product_ket(x, y) for x in ((1, 0), (0, 1)) for y in _PM)
     return [c * k0p + s * k1m, c * k0m + s * k1p, s * k0m - c * k1p, s * k0p - c * k1m]
 
 
 def _hyper_vectors(xi: float, zeta: float) -> list:
-    n = 1.0 / math.sqrt(2.0 * (math.cosh(xi) + math.cosh(zeta)))
+    try:
+        n = 1.0 / math.sqrt(2.0 * (math.cosh(xi) + math.cosh(zeta)))
+    except OverflowError:
+        n = 0.0
+    if n == 0.0:
+        raise ValidationError("CCShyper: cosh(xi) + cosh(zeta) overflows (|xi| or |zeta| > ~709)")
     ep, em = math.exp(xi / 2.0), math.exp(-xi / 2.0)
     fp, fm = math.exp(zeta / 2.0), math.exp(-zeta / 2.0)
-    return [
-        n * np.array([ep, fp, fm, -em], dtype=complex),
-        n * np.array([em, fm, -fp, ep], dtype=complex),
-        n * np.array([fp, -ep, em, fm], dtype=complex),
-        n * np.array([-fm, em, ep, fp], dtype=complex),
-    ]
+    rows = ([ep, fp, fm, -em], [em, fm, -fp, ep], [fp, -ep, em, fm], [-fm, em, ep, fp])
+    return [n * np.array(r, dtype=complex) for r in rows]
 
 
 def _ntrat_vectors(c: complex, s: complex) -> list:
     """Basis kets on the diagonal, a rotated pair on the antidiagonal block."""
+    _check_unit_pair(c, s, "c,s")
     g1 = c * basis_ket(0, 1) + s * basis_ket(1, 0)
     g2 = -np.conj(s) * basis_ket(0, 1) + np.conj(c) * basis_ket(1, 0)
     return [basis_ket(0, 0), g1, g2, basis_ket(1, 1)]
 
 
 def _ntrat_u_vectors(theta: float) -> list:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    pp = product_ket(KET_PLUS, KET_PLUS)
-    pm = product_ket(KET_PLUS, KET_MINUS)
-    mp = product_ket(KET_MINUS, KET_PLUS)
-    mm = product_ket(KET_MINUS, KET_MINUS)
+    c, s = _half_angle(theta)
+    pp, pm, mp, mm = _gabor_vectors()
     return [pp, c * pm + s * mp, -s * pm + c * mp, mm]
 
 
 def _cltp_vectors() -> list:
     rt2 = math.sqrt(2.0)
-    return [
-        np.array([1, 0, 0, 1j], dtype=complex) / rt2,
-        np.array([0, 1j, 1, 0], dtype=complex) / rt2,
-        np.array([0, 1j, -1, 0], dtype=complex) / rt2,
-        np.array([1, 0, 0, -1j], dtype=complex) / rt2,
-    ]
+    rows = ([1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j])
+    return [np.array(r, dtype=complex) / rt2 for r in rows]
 
 
 def _class_u_spec_vectors() -> list:
     p = math.sqrt(2.0) + 1.0
     m = math.sqrt(2.0) - 1.0
     n = 1.0 / (2.0 * math.sqrt(2.0))
-    return [
-        n * np.array([p, 1, 1, m], dtype=complex),
-        n * np.array([-1, p, -m, 1], dtype=complex),
-        n * np.array([-1, -m, p, 1], dtype=complex),
-        n * np.array([m, -1, -1, p], dtype=complex),
-    ]
+    rows = ([p, 1, 1, m], [-1, p, -m, 1], [-1, -m, p, 1], [m, -1, -1, p])
+    return [n * np.array(r, dtype=complex) for r in rows]
 
 
-def _rank_two_pairing(vectors) -> Partition:
-    p0 = ProjectionEvent(
-        np.outer(vectors[0], vectors[0].conj()) + np.outer(vectors[1], vectors[1].conj())
-    )
-    p1 = ProjectionEvent(
-        np.outer(vectors[2], vectors[2].conj()) + np.outer(vectors[3], vectors[3].conj())
-    )
-    return Partition((p0, p1))
+def _twist_spec_vectors() -> list:
+    v = diagonal_unitary(TWIST_PHASES)
+    return [v @ g for g in _class_u_spec_vectors()]
+
+
+def _rank_two_pairing(v) -> Partition:
+    """Kets 0, 1 and kets 2, 3 paired into two rank-two elements."""
+    pairs = ((v[0], v[1]), (v[2], v[3]))
+    events = (ProjectionEvent(np.outer(x, x.conj()) + np.outer(y, y.conj())) for x, y in pairs)
+    return Partition(tuple(events))
 
 
 # ---------------------------------------------------------------------------
-# Generators
+# Associated states
 # ---------------------------------------------------------------------------
-
-def _partition_for(family: Family, params: FamilyParams) -> tuple:
-    """(partition, atomic) for the family at the given parameters."""
-    pair = canonical_events()
-    if family is Family.TrivAB2:
-        return Partition((pair.a, ProjectionEvent(np.eye(4) - pair.a.op))), False
-    if family is Family.TrivAB4:
-        return Partition(tuple(ProjectionEvent(x) for x in pair.products())), True
-    if family is Family.CCSclass:
-        return Partition.from_vectors([basis_ket(i, j) for i in (0, 1) for j in (0, 1)]), True
-    if family is Family.CCSGabor:
-        return Partition.from_vectors(_gabor_vectors()), True
-    if family is Family.CCSclassU:
-        return Partition.from_vectors(rotated_product_vectors(params.theta)), True
-    if family is Family.CCStwist:
-        return Partition.from_vectors(twisted_product_vectors(params.theta)), True
-    if family is Family.CCSBell:
-        return Partition.from_vectors(_bell_family_vectors(params.theta)), True
-    if family is Family.CCShyper:
-        return Partition.from_vectors(_hyper_vectors(params.xi, params.zeta)), True
-    if family is Family.CCSntrat:
-        c, s = math.cos(params.theta / 2.0), math.sin(params.theta / 2.0)
-        return Partition.from_vectors(_ntrat_vectors(c, s)), True
-    if family is Family.CCSntratU:
-        return Partition.from_vectors(_ntrat_u_vectors(params.theta)), True
-    if family is Family.CCS22ntrat:
-        c, s = math.cos(params.theta / 2.0), math.sin(params.theta / 2.0)
-        return _rank_two_pairing(_ntrat_vectors(c, s)), False
-    if family is Family.CCS22ntratU:
-        return _rank_two_pairing(_ntrat_u_vectors(params.theta)), False
-    if family is Family.CLTP:
-        return Partition.from_vectors(_cltp_vectors()), True
-    if family is Family.CCSclassUspec:
-        return Partition.from_vectors(_class_u_spec_vectors()), True
-    if family is Family.CCStwistLTPspec:
-        v = diagonal_unitary(TWIST_PHASES)
-        return Partition.from_vectors([v @ g for g in _class_u_spec_vectors()]), True
-    if family is Family.CCSntratC:
-        _check_unit_pair(params.c, params.s, "c,s")
-        return Partition.from_vectors(_ntrat_vectors(params.c, params.s)), True
-    if family is Family.CCS22ntratC:
-        _check_unit_pair(params.c, params.s, "c,s")
-        return _rank_two_pairing(_ntrat_vectors(params.c, params.s)), False
-    raise KeyError(family)
-
-
-def generate(family: Family, params: FamilyParams = FamilyParams()) -> FamilyInstance:
-    """Build the family's partition; the associated state is attached when it
-    is defined without further parameters."""
-    _require(params, family)
-    partition, atomic = _partition_for(family, params)
-    try:
-        state = associated_state(family, params)
-    except (NoAssociatedStateError, MissingParameterError):
-        state = None
-    return FamilyInstance(family, partition, atomic, state)
-
-
-_BELL_STATE_FAMILIES = (
-    Family.CCSntrat,
-    Family.CCSntratU,
-    Family.CCS22ntrat,
-    Family.CCS22ntratU,
-)
-_PERFECT_STATE_FAMILIES = (Family.CCSntratC, Family.CCS22ntratC)
-
 
 def _symmetric_state_vector(a: complex, b: complex, last_sign: float) -> np.ndarray:
     _check_unit_pair(a, b, "a,b")
@@ -355,6 +292,168 @@ def spec_ltp_state_vector(twisted: bool = False) -> np.ndarray:
     return n * np.array([p, m, m, last], dtype=complex)
 
 
+def _bell_state(params: FamilyParams) -> DensityState:
+    return DensityState.from_vector(bell_phi_vector())
+
+
+def _cltp_state(params: FamilyParams) -> DensityState:
+    a, b = params.a, params.b
+    if a is None or b is None:
+        a, b = _DEFAULT_CLTP_AB
+    return DensityState.from_vector(_symmetric_state_vector(a, b, +1.0))
+
+
+def _solved_ltp_state(family: Family, last_sign: float) -> Callable:
+    """CCSclassU/CCStwist: real a,b with a^2 + b^2 = 1, no default."""
+
+    def state(params: FamilyParams) -> DensityState:
+        if params.a is None or params.b is None:
+            raise MissingParameterError(
+                f"family {family.value} needs state parameters a, b "
+                "(the solver provides the pair satisfying the law of total probability)"
+            )
+        return DensityState.from_vector(_symmetric_state_vector(params.a, params.b, last_sign))
+
+    return state
+
+
+def _perfect_state(params: FamilyParams) -> DensityState:
+    given = (params.r1, params.r2, params.r3)
+    return perfect_correlation_state(
+        *(d if r is None else r for r, d in zip(given, _DEFAULT_PERFECT_R))
+    )
+
+
+# ---------------------------------------------------------------------------
+# The catalog
+# ---------------------------------------------------------------------------
+
+_C = CommutationClass.COMMUTING
+_W = CommutationClass.WEAKLY_COMMUTING
+_N = CommutationClass.NONCOMMUTING
+_STRONG = TrivialityLevel.STRONG
+_WEAK = TrivialityLevel.WEAK
+_NONTRIVIAL = TrivialityLevel.NONTRIVIAL
+
+# rows are (is_ccs, commuting, all_product, triviality, ltp, deterministic)
+_CLASSICAL_ROW = (True, _C, True, _STRONG, True, True)
+_PAIRED_CLASSICAL_ROW = (True, _C, None, _WEAK, True, True)
+_PRODUCT_NCC_ROW = (True, _N, True, _STRONG, True, False)
+_TWISTED_ROW = (True, _N, False, _WEAK, True, False)
+_ENTANGLED_ROW = (True, _N, False, _WEAK, None, False)
+_NTRAT_ROW = (True, _W, False, _NONTRIVIAL, True, True)
+_22NTRAT_ROW = (True, _N, None, _NONTRIVIAL, True, True)
+
+
+class _Spec(NamedTuple):
+    params: tuple
+    atomic: bool
+    vectors: Callable  # FamilyParams -> four orthonormal kets
+    state: Callable | None  # FamilyParams -> DensityState; None: state-independent
+    row: tuple
+    degenerate_row: tuple | None = None  # at theta in pi*Z, or at c*s = 0
+
+
+_THETA = ("theta",)
+_CS = ("c", "s")
+
+_CATALOG = {
+    # family: _Spec(params, atomic, vectors, state, row[, degenerate_row])
+    Family.TrivAB2: _Spec((), False, lambda p: _basis_vectors(), None, _PAIRED_CLASSICAL_ROW),
+    Family.TrivAB4: _Spec((), True, lambda p: _basis_vectors(), None, _CLASSICAL_ROW),
+    Family.CCSclass: _Spec((), True, lambda p: _basis_vectors(), None, _CLASSICAL_ROW),
+    Family.CCSGabor: _Spec((), True, lambda p: _gabor_vectors(), None, _PRODUCT_NCC_ROW),
+    Family.CCSclassU: _Spec(
+        _THETA, True, lambda p: rotated_product_vectors(p.theta),
+        _solved_ltp_state(Family.CCSclassU, -1.0), _PRODUCT_NCC_ROW, _CLASSICAL_ROW,
+    ),
+    Family.CCStwist: _Spec(
+        _THETA, True, lambda p: twisted_product_vectors(p.theta),
+        _solved_ltp_state(Family.CCStwist, +1.0), _TWISTED_ROW, _CLASSICAL_ROW,
+    ),
+    Family.CCSBell: _Spec(
+        _THETA, True, lambda p: _bell_family_vectors(p.theta), None,
+        _ENTANGLED_ROW, (True, _N, True, _STRONG, None, False),
+    ),
+    Family.CCShyper: _Spec(
+        ("xi", "zeta"), True, lambda p: _hyper_vectors(p.xi, p.zeta), None, _ENTANGLED_ROW
+    ),
+    Family.CCSntrat: _Spec(
+        _THETA, True, lambda p: _ntrat_vectors(*_half_angle(p.theta)), _bell_state,
+        _NTRAT_ROW, _CLASSICAL_ROW,
+    ),
+    Family.CCSntratU: _Spec(
+        _THETA, True, lambda p: _ntrat_u_vectors(p.theta), _bell_state,
+        (True, _N, False, _NONTRIVIAL, False, False), (True, _N, True, _STRONG, False, False),
+    ),
+    Family.CCS22ntrat: _Spec(
+        _THETA, False, lambda p: _ntrat_vectors(*_half_angle(p.theta)), _bell_state,
+        _22NTRAT_ROW, _PAIRED_CLASSICAL_ROW,
+    ),
+    # at pi-multiples the elements are one-sided rank-two projections whose
+    # conditional states are product, so the partition screens for every
+    # state: weakly trivial there, nontrivial otherwise
+    Family.CCS22ntratU: _Spec(
+        _THETA, False, lambda p: _ntrat_u_vectors(p.theta), _bell_state,
+        (True, _N, None, _NONTRIVIAL, False, False), (True, _N, None, _WEAK, False, False),
+    ),
+    Family.CLTP: _Spec(
+        (), True, lambda p: _cltp_vectors(), _cltp_state, (False, _N, False, None, True, None)
+    ),
+    Family.CCSclassUspec: _Spec(
+        (), True, lambda p: _class_u_spec_vectors(),
+        lambda p: DensityState.from_vector(spec_ltp_state_vector(twisted=False)), _PRODUCT_NCC_ROW,
+    ),
+    Family.CCStwistLTPspec: _Spec(
+        (), True, lambda p: _twist_spec_vectors(),
+        lambda p: DensityState.from_vector(spec_ltp_state_vector(twisted=True)), _TWISTED_ROW,
+    ),
+    Family.CCSntratC: _Spec(
+        _CS, True, lambda p: _ntrat_vectors(p.c, p.s), _perfect_state,
+        _NTRAT_ROW, _CLASSICAL_ROW,
+    ),
+    # commuting iff c or s vanishes, else plainly noncommuting: the rank-two
+    # elements have nonzero probability (1 +- r3)/2
+    Family.CCS22ntratC: _Spec(
+        _CS, False, lambda p: _ntrat_vectors(p.c, p.s), _perfect_state,
+        _22NTRAT_ROW, _PAIRED_CLASSICAL_ROW,
+    ),
+}
+
+#: Parameters each family's partition construction requires.
+REQUIRED_PARAMS = {family: spec.params for family, spec in _CATALOG.items()}
+
+
+def required_parameters(family: Family) -> tuple:
+    return REQUIRED_PARAMS[family]
+
+
+def _spec(family: Family, params: FamilyParams) -> _Spec:
+    """The family's record, once its required parameters are known to be set."""
+    spec = _CATALOG[family]
+    for name in spec.params:
+        if getattr(params, name) is None:
+            raise MissingParameterError(f"family {family.value} needs parameter {name!r}")
+    return spec
+
+
+# ---------------------------------------------------------------------------
+# Public entry points
+# ---------------------------------------------------------------------------
+
+def generate(family: Family, params: FamilyParams = FamilyParams()) -> FamilyInstance:
+    """Build the family's partition; the associated state is attached when it
+    is defined without further parameters."""
+    spec = _spec(family, params)
+    vectors = spec.vectors(params)
+    partition = Partition.from_vectors(vectors) if spec.atomic else _rank_two_pairing(vectors)
+    try:
+        state = associated_state(family, params)
+    except (NoAssociatedStateError, MissingParameterError):
+        state = None
+    return FamilyInstance(family, partition, spec.atomic, state)
+
+
 def associated_state(family: Family, params: FamilyParams = FamilyParams()) -> DensityState:
     """The state tied to a state-specific family.
 
@@ -362,185 +461,17 @@ def associated_state(family: Family, params: FamilyParams = FamilyParams()) -> D
     MissingParameterError when the state family needs amplitudes that were
     not supplied (CCSclassU/CCStwist: real a,b with a^2 + b^2 = 1).
     """
-    if family in _BELL_STATE_FAMILIES:
-        return DensityState.from_vector(bell_phi_vector())
-    if family is Family.CLTP:
-        a, b = params.a, params.b
-        if a is None or b is None:
-            a, b = _DEFAULT_CLTP_AB
-        return DensityState.from_vector(_symmetric_state_vector(a, b, +1.0))
-    if family is Family.CCSclassU or family is Family.CCStwist:
-        if params.a is None or params.b is None:
-            raise MissingParameterError(
-                f"family {family.value} needs state parameters a, b "
-                "(the solver provides the pair satisfying the law of total probability)"
-            )
-        sign = +1.0 if family is Family.CCStwist else -1.0
-        return DensityState.from_vector(_symmetric_state_vector(params.a, params.b, sign))
-    if family is Family.CCSclassUspec:
-        return DensityState.from_vector(spec_ltp_state_vector(twisted=False))
-    if family is Family.CCStwistLTPspec:
-        return DensityState.from_vector(spec_ltp_state_vector(twisted=True))
-    if family in _PERFECT_STATE_FAMILIES:
-        r1, r2, r3 = (
-            params.r1 if params.r1 is not None else _DEFAULT_PERFECT_R[0],
-            params.r2 if params.r2 is not None else _DEFAULT_PERFECT_R[1],
-            params.r3 if params.r3 is not None else _DEFAULT_PERFECT_R[2],
-        )
-        return perfect_correlation_state(r1, r2, r3)
-    raise NoAssociatedStateError(f"family {family.value} is state-independent")
-
-
-# ---------------------------------------------------------------------------
-# Expected classification rows
-# ---------------------------------------------------------------------------
-
-class TrivialityLevel(enum.Enum):
-    STRONG = "strong"
-    WEAK = "weak"
-    NONTRIVIAL = "nontrivial"
-    NOT_A_CCS = "not_a_ccs"
-
-
-@dataclass(frozen=True)
-class TableRow:
-    """Reference classification of a family at fixed parameters.
-
-    ``None`` marks entries excluded from golden comparison: either
-    not-applicable cells (e.g. productness of nonatomic partitions) or
-    unresolved ones (law of total probability where no ground truth is
-    stated).  State-dependent entries refer to the family's reference
-    state (see goldentable.reference_state).
-    """
-
-    family: Family
-    is_ccs: bool
-    atomic: bool
-    commuting: CommutationClass
-    all_product: bool | None
-    triviality: TrivialityLevel | None
-    ltp: bool | None
-    deterministic: bool | None
-
-
-def _cs_degenerate(c: complex, s: complex, tol: float = 1e-9) -> bool:
-    return abs(c) <= tol or abs(s) <= tol
+    state = _CATALOG[family].state
+    if state is None:
+        raise NoAssociatedStateError(f"family {family.value} is state-independent")
+    return state(params)
 
 
 def expected_table_row(family: Family, params: FamilyParams = FamilyParams()) -> TableRow:
     """Reference row with parameter-conditional entries evaluated."""
-    _require(params, family)
-    C = CommutationClass.COMMUTING
-    W = CommutationClass.WEAKLY_COMMUTING
-    N = CommutationClass.NONCOMMUTING
-
-    def row(ccs, atomic, comm, product, triv, ltp, det):
-        return TableRow(family, ccs, atomic, comm, product, triv, ltp, det)
-
-    if family is Family.TrivAB2:
-        return row(True, False, C, None, TrivialityLevel.WEAK, True, True)
-    if family in (Family.TrivAB4, Family.CCSclass):
-        return row(True, True, C, True, TrivialityLevel.STRONG, True, True)
-    if family is Family.CCSGabor:
-        return row(True, True, N, True, TrivialityLevel.STRONG, True, False)
-    if family is Family.CCSclassU or family is Family.CCSclassUspec:
-        pi_mult = is_pi_multiple(params.theta) if family is Family.CCSclassU else False
-        return row(True, True, C if pi_mult else N, True, TrivialityLevel.STRONG, True, pi_mult)
-    if family is Family.CCStwist or family is Family.CCStwistLTPspec:
-        pi_mult = is_pi_multiple(params.theta) if family is Family.CCStwist else False
-        return row(
-            True,
-            True,
-            C if pi_mult else N,
-            pi_mult,
-            TrivialityLevel.STRONG if pi_mult else TrivialityLevel.WEAK,
-            True,
-            pi_mult,
-        )
-    if family is Family.CCSBell:
-        pi_mult = is_pi_multiple(params.theta)
-        return row(
-            True,
-            True,
-            N,
-            pi_mult,
-            TrivialityLevel.STRONG if pi_mult else TrivialityLevel.WEAK,
-            None,
-            False,
-        )
-    if family is Family.CCShyper:
-        return row(True, True, N, False, TrivialityLevel.WEAK, None, False)
-    if family is Family.CCSntrat:
-        pi_mult = is_pi_multiple(params.theta)
-        return row(
-            True,
-            True,
-            C if pi_mult else W,
-            pi_mult,
-            TrivialityLevel.STRONG if pi_mult else TrivialityLevel.NONTRIVIAL,
-            True,
-            True,
-        )
-    if family is Family.CCSntratU:
-        pi_mult = is_pi_multiple(params.theta)
-        return row(
-            True,
-            True,
-            N,
-            pi_mult,
-            TrivialityLevel.STRONG if pi_mult else TrivialityLevel.NONTRIVIAL,
-            False,
-            False,
-        )
-    if family is Family.CCS22ntrat:
-        pi_mult = is_pi_multiple(params.theta)
-        return row(
-            True,
-            False,
-            C if pi_mult else N,
-            None,
-            TrivialityLevel.WEAK if pi_mult else TrivialityLevel.NONTRIVIAL,
-            True,
-            True,
-        )
-    if family is Family.CCS22ntratU:
-        # at pi-multiples the elements are one-sided rank-two projections whose
-        # conditional states are product, so the partition screens for every
-        # state: weakly trivial there, nontrivial otherwise
-        pi_mult = is_pi_multiple(params.theta)
-        return row(
-            True,
-            False,
-            N,
-            None,
-            TrivialityLevel.WEAK if pi_mult else TrivialityLevel.NONTRIVIAL,
-            False,
-            False,
-        )
-    if family is Family.CLTP:
-        return row(False, True, N, False, None, True, None)
-    if family is Family.CCSntratC:
-        deg = _cs_degenerate(params.c, params.s)
-        return row(
-            True,
-            True,
-            C if deg else W,
-            deg,
-            TrivialityLevel.STRONG if deg else TrivialityLevel.NONTRIVIAL,
-            True,
-            True,
-        )
-    if family is Family.CCS22ntratC:
-        # commuting iff c or s vanishes, else plainly noncommuting: the
-        # rank-two elements have nonzero probability (1 +- r3)/2
-        deg = _cs_degenerate(params.c, params.s)
-        return row(
-            True,
-            False,
-            C if deg else N,
-            None,
-            TrivialityLevel.WEAK if deg else TrivialityLevel.NONTRIVIAL,
-            True,
-            True,
-        )
-    raise KeyError(family)
+    spec = _spec(family, params)
+    degenerate = spec.degenerate_row is not None and (
+        is_pi_multiple(params.theta) if spec.params == _THETA else _cs_degenerate(params.c, params.s)
+    )
+    is_ccs, *cells = spec.degenerate_row if degenerate else spec.row
+    return TableRow(family, is_ccs, spec.atomic, *cells)

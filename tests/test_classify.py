@@ -266,3 +266,15 @@ def test_classify_screens_the_reference_triple_once(pair, monkeypatch):
     report = _classified(Family.TrivAB4)
     assert report.is_ccs and report.certificate.kind is CertificateKind.ANALYTIC
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", [Family.CCSclassU, Family.CCStwist])
+@pytest.mark.parametrize("offset", [4.6e-5, 5e-5, 6.2e-5])
+@pytest.mark.parametrize("base", [0.0, math.pi])
+def test_determinism_cross_check_tolerates_its_slack(family, offset, base):
+    # phi(A|C) ~ 1 - theta^2/4 is binary within eps_eq, phi(AB|C) ~ 1 - theta^2/2
+    # only within 2 * eps_eq: the tests disagree within their slack, and the
+    # two-event verdict stands
+    report = _classified(family, FamilyParams(theta=base + offset))
+    assert report.is_ccs
+    assert report.deterministic is Determinism.DETERMINISTIC

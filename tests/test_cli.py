@@ -123,6 +123,23 @@ def test_generate_missing_parameter(capsys):
     assert "--theta" in capsys.readouterr().err
 
 
+def test_generate_hyperbolic_overflow_is_input_error(capsys):
+    assert main(["generate", "CCShyper", "--xi", "711", "--zeta", "0"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["CCSclassU", "CCStwist"])
+@pytest.mark.parametrize("theta", [e + base for base in (0.0, math.pi) for e in (4.6e-5, 5e-5, 6.2e-5)])
+def test_classify_near_pi_multiples_exits_0(tmp_path, capsys, family, theta):
+    # phi(A|C) ~ 1 - theta^2/4 and phi(AB|C) ~ 1 - theta^2/2 straddle eps_eq here
+    assert main(["generate", family, "--theta", repr(theta), "--with-state"]) == 0
+    partition, state = capsys.readouterr().out.strip().split("\n")
+    (tmp_path / "partition.json").write_text(partition)
+    (tmp_path / "state.json").write_text(state)
+    assert main(["classify", str(tmp_path / "state.json"), str(tmp_path / "partition.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["deterministic"] == "yes"
+
+
 def test_solve_ltp_reference_angle(capsys):
     assert main(["solve-ltp", "--theta", "0.7853981633974483"]) == 0
     sol = json.loads(capsys.readouterr().out)

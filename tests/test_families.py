@@ -1,13 +1,17 @@
 """Family generators, associated states, reference rows."""
 
+import dataclasses
+import enum
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from ccslab.core import CommutationClass, DensityState
+from ccslab.core import CCSLabError, CommutationClass, DensityState, ValidationError
 from ccslab.families import (
     Family,
+    FamilyInstance,
     FamilyParams,
     MissingParameterError,
     NoAssociatedStateError,
@@ -20,6 +24,7 @@ from ccslab.families import (
     required_parameters,
     rotated_product_vectors,
 )
+from ccslab.goldentable import golden_parameter_sets
 from ccslab.sampling import rng_for
 from ccslab.twoqubit import basis_ket, nonproduct_from_product, principal_vector
 
@@ -186,6 +191,13 @@ def test_normalization_violations_raise():
         associated_state(Family.CLTP, FamilyParams(a=1.0, b=1.0))
 
 
+def test_hyperbolic_overflow_is_a_validation_error():
+    for xi, zeta in ((711.0, 0.0), (0.0, -711.0), (710.0, 0.0)):
+        with pytest.raises(ValidationError):
+            generate(Family.CCShyper, FamilyParams(xi=xi, zeta=zeta))
+    assert generate(Family.CCShyper, FamilyParams(xi=709.0, zeta=709.0)).partition.dim == 4
+
+
 def test_unknown_tag_rejected():
     with pytest.raises(KeyError):
         Family.from_tag("nope")
@@ -234,3 +246,97 @@ def test_reference_row_not_a_ccs():
     assert row.is_ccs is False
     assert row.triviality is None and row.deterministic is None
     assert row.ltp is True
+
+
+# ---------------------------------------------------------------------------
+# catalog pin
+# ---------------------------------------------------------------------------
+
+# sha256 over every family's generate / associated_state / expected_table_row
+# outcome on _pin_param_sets (see _catalog_digest)
+CATALOG_DIGEST = "f0270340a185ef2995965b3c705b68c5ddaeb10131a4cac014dd8f21d8a62c61"
+
+_NEAR_PI_OFFSETS = (0.0, 1e-10, -1e-10, 1e-9, 2e-9)
+
+
+def _pin_param_sets(family):
+    """Golden grid, 30 seeded off-grid points, theta near pi*Z, (c, s) near 0."""
+    out = list(golden_parameter_sets(family))
+    for i in range(30):
+        rng = rng_for(61, list(Family).index(family), i)
+        phi, psi, alpha, beta = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, size=4))
+        xi, zeta = (float(x) for x in rng.uniform(-10.0, 10.0, size=2))
+        r = rng.uniform(-0.5, 0.5, size=3)
+        out.append(
+            FamilyParams(
+                theta=float(rng.uniform(-2.0 * math.pi, 4.0 * math.pi)),
+                xi=xi,
+                zeta=zeta,
+                c=math.cos(phi) * np.exp(1j * alpha),
+                s=math.sin(phi) * np.exp(1j * beta),
+                a=math.cos(psi) if i % 2 else None,
+                b=math.sin(psi) if i % 2 else None,
+                r1=float(r[0]),
+                r2=float(r[1]),
+                r3=float(r[2]) if i % 3 else None,
+            )
+        )
+    for k in (-1, 0, 1, 2):
+        out.extend(FamilyParams(theta=k * math.pi + e) for e in _NEAR_PI_OFFSETS)
+    for base in (0.0, math.pi / 2.0):
+        for e in _NEAR_PI_OFFSETS:
+            c, s = math.cos(base + e), math.sin(base + e)
+            out.append(FamilyParams(c=c, s=s))
+            out.append(FamilyParams(c=np.complex128(c), s=np.complex128(1j * s)))
+    # missing parameters, then non-unit amplitudes with the rest supplied
+    full = dict(theta=1.0, xi=0.5, zeta=-0.5, c=0.6, s=0.8)
+    out.append(FamilyParams())
+    out.append(FamilyParams(**{**full, "c": 1.0, "s": 1.0}))
+    out.append(FamilyParams(**full, a=1.0, b=1.0))
+    return out
+
+
+def _cell(value):
+    return value if value is None or isinstance(value, enum.Enum) else bool(value)
+
+
+def _pin_bytes(value) -> bytes:
+    """Arrays rounded to 6 decimals with -0.0 folded, so that libm builds
+    differing in the last bits agree; rows cell by cell, numpy bools as bool."""
+    if value is None:
+        return b"None"
+    if isinstance(value, FamilyInstance):
+        parts = [(np.round(e.op, 6) + 0.0).tobytes() for e in value.partition]
+        return b"|".join(parts + [repr(value.atomic).encode(), _pin_bytes(value.state)])
+    if isinstance(value, DensityState):
+        return (np.round(value.rho, 6) + 0.0).tobytes()
+    return repr(tuple(_cell(getattr(value, f.name)) for f in dataclasses.fields(value))).encode()
+
+
+def _catalog_digest() -> str:
+    h = hashlib.sha256()
+    for family in Family:
+        for params in _pin_param_sets(family):
+            for fn in (generate, associated_state, expected_table_row):
+                try:
+                    h.update(_pin_bytes(fn(family, params)))
+                except CCSLabError as exc:  # type and message are part of the pin
+                    h.update(f"{type(exc).__name__}: {exc}".encode())
+    return h.hexdigest()
+
+
+def test_catalog_outputs_are_pinned():
+    assert _catalog_digest() == CATALOG_DIGEST
+
+
+def test_table_row_cells_are_plain():
+    for family in Family:
+        for params in _pin_param_sets(family):
+            try:
+                row = expected_table_row(family, params)
+            except MissingParameterError:
+                continue
+            for f in dataclasses.fields(row):
+                value = getattr(row, f.name)
+                assert value is None or type(value) is bool or isinstance(value, enum.Enum), (
+                    family, params, f.name, type(value))
