@@ -5,7 +5,9 @@ states are density operators, and probabilities are trace pairings
 phi(X) = Tr(rho X).  On top of that this module implements the machinery
 for common-cause analysis of a commuting event pair (A, B):
 
-- conditional states and probabilities  phi(X|C) = Tr(rho C X C)/Tr(rho C)
+- conditional states and probabilities  phi(X|C) = Tr(rho C X C)/Tr(rho C),
+  which is Tr(C X) for rank-one C; _conditional_probs computes every
+  conditional probability in the package
 - correlation of A and B, in two algebraically equal forms:
       original:  phi(AB) - phi(A) phi(B)
       balanced:  phi(AB) phi(A'B') - phi(AB') phi(A'B)      (X' = I - X)
@@ -232,6 +234,7 @@ class Partition:
         total = sum(e.op for e in elems)
         if np.linalg.norm(total - np.eye(n)) > DEFAULT_TOL.eps_eq * n:
             raise ValidationError("partition elements must sum to the identity")
+        object.__setattr__(self, "_ranks", tuple(e.rank for e in elems))
 
     @classmethod
     def from_vectors(cls, vectors) -> "Partition":
@@ -249,11 +252,11 @@ class Partition:
         return iter(self.elements)
 
     def rank_profile(self) -> tuple:
-        return tuple(e.rank for e in self.elements)
+        return self._ranks
 
     def is_atomic(self) -> bool:
         """True when every element is a minimal (rank-one) projection."""
-        return all(r == 1 for r in self.rank_profile())
+        return all(r == 1 for r in self._ranks)
 
 
 @dataclass(frozen=True)
@@ -384,16 +387,23 @@ def _clamp_probability(value: float, tol: Tolerance) -> float:
     return value
 
 
-def _conditional_probs(rho: np.ndarray, cond: np.ndarray, events, tol: Tolerance) -> tuple:
+def _conditional_probs(
+    rho: np.ndarray, cond: np.ndarray, events, tol: Tolerance, rank_one: bool
+) -> tuple:
     """(phi(C), tuple of phi(X|C) = Tr(rho C X C) / phi(C) over the events).
 
-    The tuple is None when phi(C) <= eps_prob.  Every conditional probability
-    in this module is computed here.
+    The tuple is None when phi(C) <= eps_prob.  For rank-one C = |g><g|,
+    C X C = <g|X|g> C, so phi(X|C) = Tr(C X) in every such state, free of the
+    u / phi(C) roundoff of the ratio.  Every conditional probability in the
+    package is computed here.
     """
     p = _trace_pair(rho, cond)
     if p <= tol.eps_prob:
         return (p, None)
-    vals = (float(np.trace(rho @ cond @ x @ cond).real) / p for x in events)
+    if rank_one:
+        vals = (_trace_pair(cond, x) for x in events)
+    else:
+        vals = (float(np.trace(rho @ cond @ x @ cond).real) / p for x in events)
     return (p, tuple(_clamp_probability(v, tol) for v in vals))
 
 
@@ -422,7 +432,7 @@ def conditional_probability(
     """phi(X|C) = Tr(rho C X C) / Tr(rho C)."""
     rho = density_matrix(state)
     _check_same_dim(rho.shape[0], event.dim, cond.dim)
-    p, vals = _conditional_probs(rho, cond.op, (event.op,), tol)
+    p, vals = _conditional_probs(rho, cond.op, (event.op,), tol, cond.rank == 1)
     if vals is None:
         raise ZeroProbabilityError(f"conditioning event has probability {p:.3e}")
     return vals[0]
@@ -475,7 +485,7 @@ def conditional_correlation(
     """Conditional correlation given C, (original, balanced) forms."""
     rho = density_matrix(state)
     _check_same_dim(rho.shape[0], pair.dim, cond.dim)
-    p, joint = _conditional_probs(rho, cond.op, pair.products(), tol)
+    p, joint = _conditional_probs(rho, cond.op, pair.products(), tol, cond.rank == 1)
     if joint is None:
         raise ZeroProbabilityError(f"conditioning event has probability {p:.3e}")
     return _correlation_forms(joint)
@@ -515,8 +525,10 @@ def is_ccs(
     """
     rho = density_matrix(state)
     _check_same_dim(rho.shape[0], partition.dim, pair.dim)
-    products = pair.products()
-    probs, joints = zip(*(_conditional_probs(rho, c.op, products, tol) for c in partition))
+    products, ranks = pair.products(), partition.rank_profile()
+    probs, joints = zip(
+        *(_conditional_probs(rho, c.op, products, tol, r == 1) for c, r in zip(partition, ranks))
+    )
     deltas = tuple(None if j is None else _correlation_forms(j) for j in joints)
     zero = tuple(k for k, j in enumerate(joints) if j is None)
     holds = not any(
@@ -553,11 +565,11 @@ def _deterministic(
 ) -> bool:
     """Body of is_deterministic_ccs, given the triple's (holding) screening report."""
     rho = density_matrix(state)
-    for c, joint in zip(partition, report.conditional_joint):
+    for c, r, joint in zip(partition, partition.rank_profile(), report.conditional_joint):
         if joint is None:
             continue
         # from A and B themselves: derived from the four products, the cross-check is vacuous
-        _, (pa, pb) = _conditional_probs(rho, c.op, (pair.a.op, pair.b.op), tol)
+        _, (pa, pb) = _conditional_probs(rho, c.op, (pair.a.op, pair.b.op), tol, r == 1)
         two_event = _binary_within(pa, tol) and _binary_within(pb, tol)
         four_event = all(_binary_within(v, tol) for v in joint)
         if two_event != four_event:

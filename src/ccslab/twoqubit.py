@@ -20,6 +20,9 @@ The productness/screening pair yields the construction of nonproduct
 partitions that still screen for every state: conjugate a product atomic
 partition by a nonproduct diagonal unitary (phases with
 p00 + p11 != p01 + p10), which spoils det(M) but preserves det(|M|^2).
+
+The canonical-pair conditionals and law-of-total-probability check are views
+over core; the determinants stay as independent oracles.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from .core import (
     PureState,
     Tolerance,
     ValidationError,
-    conditional_expectation,
-    conditional_probability,
+    _conditional_probs,
     density_matrix,
+    satisfies_ltp,
 )
 
 __all__ = [
@@ -192,7 +195,7 @@ def principal_vector(proj: ProjectionEvent, tol: Tolerance = DEFAULT_TOL) -> np.
 
 
 # ---------------------------------------------------------------------------
-# Conditional probabilities and the law of total probability, specialized
+# Conditional probabilities and the law of total probability: views over core
 # ---------------------------------------------------------------------------
 
 class ConditionalProbabilityTable:
@@ -216,64 +219,34 @@ class ConditionalProbabilityTable:
         return self.entries[k] is not None
 
 
-def _pair_probs_from_amplitudes(a: np.ndarray) -> tuple:
-    w = np.abs(a) ** 2
-    return (float(w[0] + w[1]), float(w[0] + w[2]))
-
-
 def conditional_probs_canonical(
     state, partition: Partition, tol: Tolerance = DEFAULT_TOL
 ) -> ConditionalProbabilityTable:
     """Conditional probabilities of the canonical events given each element.
 
-    Uses the atomic specialization (amplitudes of the element vector; the
-    values are then state-independent apart from the nonzero-probability
-    condition) when the partition is atomic, the pure-state specialization
-    (amplitudes of C_k|psi>) when the state is pure, and the general trace
-    formula otherwise.
+    A view over core's rule: a rank-one element |g><g| gives the
+    state-independent (<g|A|g>, <g|B|g>) wherever its probability > eps_prob.
     """
-    if partition.dim != DIM:
-        raise DimensionMismatchError("canonical conditional probabilities need dim 4")
     rho = density_matrix(state)
-    pair = canonical_events()
-    entries = []
-    probs = []
-    atomic = partition.is_atomic()
-    psi = state.psi if isinstance(state, PureState) else None
-    for c in partition:
-        q = float(np.trace(rho @ c.op).real)
-        probs.append(q)
-        if q <= tol.eps_prob:
-            entries.append(None)
-            continue
-        if atomic:
-            gamma = principal_vector(c, tol)
-            entries.append(_pair_probs_from_amplitudes(gamma))
-        elif psi is not None:
-            psi_k = c.op @ psi
-            entries.append(_pair_probs_from_amplitudes(psi_k / np.linalg.norm(psi_k)))
-        else:
-            entries.append(
-                (
-                    conditional_probability(state, pair.a, c, tol),
-                    conditional_probability(state, pair.b, c, tol),
-                )
-            )
+    if partition.dim != DIM or rho.shape[0] != DIM:
+        raise DimensionMismatchError("canonical conditional probabilities need dim 4")
+    pair, ranks = canonical_events(), partition.rank_profile()
+    events = (pair.a.op, pair.b.op)
+    probs, entries = zip(
+        *(_conditional_probs(rho, c.op, events, tol, r == 1) for c, r in zip(partition, ranks))
+    )
     return ConditionalProbabilityTable(entries, probs)
 
 
 def ltp_check_2x2(state, partition: Partition, tol: Tolerance = DEFAULT_TOL) -> LTPReport:
     """Law of total probability for the canonical pair: diag(E(rho)) = diag(rho).
 
-    Residuals are the four computational-diagonal differences, ordered
-    (00, 01, 10, 11).
+    The products AB, AB', A'B, A'B' are the diagonal projections, so core's
+    residuals are the four diagonal differences, ordered (00, 01, 10, 11).
     """
     if partition.dim != DIM:
         raise DimensionMismatchError("two-qubit law-of-total-probability check needs dim 4")
-    rho = density_matrix(state)
-    pinched = conditional_expectation(partition, rho)
-    residuals = tuple(float(x) for x in (np.diag(pinched) - np.diag(rho)).real)
-    return LTPReport(all(abs(r) <= tol.eps_eq for r in residuals), residuals)
+    return satisfies_ltp(state, partition, canonical_events(), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,20 @@ def test_nontrivial_atomic_with_replayable_counterexample(pair, bell_density):
     assert not is_ccs(witness, inst.partition, pair).holds
 
 
+def test_nontrivial_atomic_golden_cells_use_the_maximally_mixed_witness(golden_reports):
+    # every defect of the screening identity is is_ccs's own delta in I/4
+    nontrivial = [
+        (family, params, report.certificate)
+        for family, params, _, _, report in golden_reports
+        if report.atomic and report.triviality is TrivialityLevel.NONTRIVIAL
+    ]
+    assert len(nontrivial) == 12
+    for family, params, cert in nontrivial:
+        assert cert.kind is CertificateKind.ANALYTIC, (family, params)
+        assert cert.counterexample["kind"] == "weak_triviality"
+        assert np.array_equal(cert.counterexample["state"], np.eye(4) / 4), (family, params)
+
+
 def test_nontrivial_rank_two_sampled(pair, bell_density):
     inst = generate(Family.CCS22ntrat, FamilyParams(theta=math.pi / 3))
     level, cert = certify_triviality(inst.partition, pair, bell_density, CFG)

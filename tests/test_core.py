@@ -33,8 +33,17 @@ from ccslab.core import (
     probability,
     satisfies_ltp,
 )
-from ccslab.families import Family, FamilyParams, associated_state, generate
+from ccslab.classify import CertificateKind, classify
+from ccslab.families import (
+    Family,
+    FamilyParams,
+    TrivialityLevel,
+    associated_state,
+    generate,
+    rotated_product_vectors,
+)
 from ccslab.sampling import (
+    SamplerConfig,
     ginibre_state,
     haar_pure_state,
     haar_unitary,
@@ -43,7 +52,7 @@ from ccslab.sampling import (
     random_diagonal_pattern,
     rng_for,
 )
-from ccslab.twoqubit import basis_ket, perfect_correlation_state
+from ccslab.twoqubit import basis_ket, conditional_probs_canonical, perfect_correlation_state
 
 
 def random_projection(dim, rng):
@@ -565,3 +574,59 @@ def test_conditional_joint_matches_conditional_probability(dim):
     for c, joint in zip(partition, report.conditional_joint):
         expected = [conditional_probability(state, ProjectionEvent(x), c) for x in ep.products()]
         assert joint == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# rank-one elements just above eps_prob
+# ---------------------------------------------------------------------------
+
+_EDGE_WEIGHTS = (1e-6, 1e-8, 1e-10)
+
+
+def _rank_one_edge_states(w, n):
+    """CCSclassU at theta = pi/3 (analytically strongly trivial) with
+    rho = (1 - w) sigma + w C_0, sigma a Ginibre state on the complement of C_0.
+
+    C_0 has probability w, just above eps_prob.  Its conditionals are read
+    state-independently as Tr(C_0 X); through Tr(rho C X C) / phi(C) they
+    would carry a roundoff of order u / w and break screening spuriously.
+    The matching roundoff term for elements of rank >= 2, c * d * u / phi(C_k),
+    is still open: it waits for one dimension-scaled tolerance rule.
+    """
+    partition = generate(Family.CCSclassU, FamilyParams(theta=math.pi / 3)).partition
+    c0 = partition.elements[0].op
+    rest = np.eye(4) - c0
+    for i in range(n):
+        sigma = rest @ ginibre_state(4, rng_for(71, i)).rho @ rest
+        rho = (1.0 - w) * sigma / np.trace(sigma).real + w * c0
+        yield partition, DensityState((rho + rho.conj().T) / 2.0)
+
+
+@pytest.mark.parametrize("w", _EDGE_WEIGHTS)
+def test_rank_one_element_near_eps_prob_screens(w, pair):
+    failed = [
+        i
+        for i, (partition, state) in enumerate(_rank_one_edge_states(w, 200))
+        if not is_ccs(state, partition, pair).holds
+    ]
+    assert not failed, f"is_ccs failed in {len(failed)} of 200 states at w={w}"
+
+
+@pytest.mark.parametrize("w", _EDGE_WEIGHTS)
+def test_rank_one_element_near_eps_prob_classifies_strong(w, pair):
+    for partition, state in _rank_one_edge_states(w, 5):
+        report = classify(partition, pair, state, SamplerConfig(seed=1))
+        assert report.is_ccs and report.zero_probability_elements == ()
+        assert report.triviality is TrivialityLevel.STRONG
+        assert report.certificate.kind is CertificateKind.ANALYTIC
+
+
+@pytest.mark.parametrize("w", _EDGE_WEIGHTS)
+def test_rank_one_element_near_eps_prob_canonical_conditionals(w, pair):
+    g = rotated_product_vectors(math.pi / 3)[0]
+    g = g / np.linalg.norm(g)
+    expected = [float(np.real(g.conj() @ x.op @ g)) for x in (pair.a, pair.b)]
+    for partition, state in _rank_one_edge_states(w, 20):
+        assert conditional_probs_canonical(state, partition)[0] == pytest.approx(
+            expected, rel=0.0, abs=1e-15
+        )

@@ -33,7 +33,7 @@ RT5 = math.sqrt(5.0)
 
 
 def _sampled_params(family, n=21):
-    rng = rng_for(51, hash(family.value) % 1000)
+    rng = rng_for(51, list(Family).index(family))
     out = []
     for k in range(n):
         theta = float(rng.uniform(0.0, 2.0 * math.pi))

@@ -7,6 +7,7 @@ import pytest
 
 from ccslab.core import (
     DensityState,
+    DimensionMismatchError,
     Partition,
     PreconditionError,
     ProjectionEvent,
@@ -191,6 +192,16 @@ def test_conditional_table_exponential_family(max_mixed):
         pa, pb = table[k]
         assert pa == pytest.approx(expect_a[k], abs=1e-12)
         assert pb == pytest.approx(expect_b[k], abs=1e-12)
+
+
+def test_canonical_helpers_reject_other_dimensions(max_mixed):
+    four = generate(Family.CCSclass).partition
+    two = Partition((ProjectionEvent.diagonal([1, 0]), ProjectionEvent.diagonal([0, 1])))
+    for helper in (conditional_probs_canonical, ltp_check_2x2):
+        with pytest.raises(DimensionMismatchError):
+            helper(max_mixed, two)
+        with pytest.raises(DimensionMismatchError):
+            helper(DensityState.maximally_mixed(2), four)
 
 
 def test_conditional_table_zero_probability_entries_flagged(bell_state):
