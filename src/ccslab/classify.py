@@ -2,11 +2,12 @@
 
 ``classify`` assembles the full report: screening, commutation class,
 productness, triviality level, determinism, law of total probability and
-correlation strength.  Triviality is certified analytically where a theorem
-applies (product-atomic partitions are strongly trivial; atomic partitions
-are weakly trivial exactly when every element satisfies the state-independent
-screening identity; complement-of-the-pair forms are weakly trivial) and by
-seeded sampling otherwise, with the certificate kind reported honestly and
+correlation strength.  Strong triviality is structural and certified
+analytically only (dimension 1, or product-atomic in the declared split).
+Weak triviality is certified analytically for atomic partitions (the
+per-element screening identity) and complement forms of the pair, and by
+seeded state sampling otherwise; sampling also finds the strong falsifier
+that weak certificates carry.  Certificate kinds are reported honestly and
 counterexamples recorded verbatim.
 """
 
@@ -141,34 +142,19 @@ def _atomic_screening_identities(partition: Partition, pair: EventPair, tol: Tol
 
 
 def _is_complement_form(partition: Partition, pair: EventPair, tol: Tolerance) -> bool:
-    """{X, I-X} for X in {A, B}, or the four products of the pair, in any order."""
-    n = partition.dim
+    """{X, I-X} for X in {A, B}, or the four products of the pair, in any order.
+
+    Partition elements sum to I and are nonzero and mutually orthogonal, so it
+    is enough that each element is one of the candidate events.
+    """
     if len(partition) == 2:
-        for x in (pair.a.op, pair.b.op):
-            comp = np.eye(n) - x
-            for first, second in ((0, 1), (1, 0)):
-                if operators_close(partition.elements[first].op, x, tol) and operators_close(
-                    partition.elements[second].op, comp, tol
-                ):
-                    return True
+        identity = np.eye(partition.dim)
+        candidates = (pair.a.op, identity - pair.a.op, pair.b.op, identity - pair.b.op)
+    elif len(partition) == 4:
+        candidates = pair.products()
+    else:
         return False
-    if len(partition) == 4:
-        products = list(pair.products())
-        used = set()
-        for c in partition:
-            hit = next(
-                (
-                    j
-                    for j, p in enumerate(products)
-                    if j not in used and operators_close(c.op, p, tol)
-                ),
-                None,
-            )
-            if hit is None:
-                return False
-            used.add(hit)
-        return True
-    return False
+    return all(any(operators_close(c.op, x, tol) for x in candidates) for c in partition)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +218,15 @@ def certify_triviality(
 ) -> tuple:
     """(TrivialityLevel, TrivialityCertificate) for a screening partition.
 
-    Strongly trivial: screens every commuting pair in every state.  Certified
-    analytically in dimension 1 (every event is 0 or I) and for product-atomic
-    partitions (given a bipartite split);
-    falsified by deterministic probes plus seeded sampling over commuting
-    pairs and states.  Weakly trivial: screens the fixed pair in every state.
+    Strongly trivial is structural: dimension 1 (every event is 0 or I) or a
+    product-atomic partition in the bipartite split, always certified
+    analytically.  Weakly trivial: screens the fixed pair in every state.
     Certified analytically for atomic partitions via the per-element
     screening identity and for complement forms of the pair; decided by
-    state sampling otherwise.  Never certifies beyond what was checked: every
-    sampled verdict carries (seed, n).
+    state sampling otherwise.  Weak certificates carry the first probe
+    (commuting pair, state) that breaks screening, found by deterministic
+    probes plus seeded sampling, or None when the budget finds none.  Never
+    certifies beyond what was checked: every sampled verdict carries (seed, n).
     """
     if not is_ccs(state, partition, pair, tol).holds:
         raise PreconditionError("triviality is only defined for partitions that screen off")
@@ -263,7 +249,6 @@ def _certify(
     given the partition's product status in the bipartite split."""
     rho_ref = density_matrix(state)
     dim = partition.dim
-    atomic = partition.is_atomic()
 
     if dim == 1:
         return (
@@ -282,30 +267,18 @@ def _certify(
             ),
         )
 
-    strong_counterexample = None
-    n_checked = 0
-    for probe_pair in _strong_probe_pairs(dim, bipartite, cfg):
-        for probe_state in _probe_states(dim, rho_ref, cfg.seed, 13, count=2):
-            n_checked += 1
-            if not is_ccs(probe_state, partition, probe_pair, tol).holds:
-                strong_counterexample = _serialize_counterexample(
-                    "strong_triviality", probe_state, probe_pair
-                )
-                break
-        if strong_counterexample is not None:
-            break
-    if strong_counterexample is None:
-        return (
-            TrivialityLevel.STRONG,
-            TrivialityCertificate(
-                CertificateKind.SAMPLED,
-                "no commuting pair/state broke screening",
-                seed=cfg.seed,
-                n=n_checked,
-            ),
-        )
+    # the first probe (pair, state) that breaks screening; None when the budget finds none
+    strong_counterexample = next(
+        (
+            _serialize_counterexample("strong_triviality", probe_state, probe_pair)
+            for probe_pair in _strong_probe_pairs(dim, bipartite, cfg)
+            for probe_state in _probe_states(dim, rho_ref, cfg.seed, 13, count=2)
+            if not is_ccs(probe_state, partition, probe_pair, tol).holds
+        ),
+        None,
+    )
 
-    if atomic:
+    if partition.is_atomic():
         defects = _atomic_screening_identities(partition, pair, tol)
         bad = [k for k, d in enumerate(defects) if abs(d) > tol.eps_eq]
         if not bad:

@@ -33,7 +33,13 @@ from .goldentable import GOLDEN_THETAS, CellStatus, run_golden_table
 from .propositions import verify_propositions
 from .sampling import SamplerConfig
 from .serialize import _counterexample_out, document_kind, emit_document, parse_document
-from .solver import DegenerateThetaError, format_plot_csv, plot_data, solve_state_params
+from .solver import (
+    DegenerateThetaError,
+    _ltp_state_at,
+    format_plot_csv,
+    plot_data,
+    solve_state_params,
+)
 from .twoqubit import canonical_events
 
 EXIT_OK = 0
@@ -169,11 +175,7 @@ def _cmd_generate(args) -> int:
         try:
             state = associated_state(family, params)
         except MissingParameterError:
-            # the solved law-of-total-probability amplitudes at this angle
-            sol = solve_state_params(params.theta)
-            state = associated_state(
-                family, FamilyParams(theta=params.theta, a=sol.a, b=sol.b)
-            )
+            state = _ltp_state_at(family, params.theta)
         lines.append(json.dumps(emit_document(state)))
     print("\n".join(lines))
     return EXIT_OK

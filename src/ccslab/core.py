@@ -554,16 +554,15 @@ def is_deterministic_ccs(
     one side is binary within 2 * eps_eq on the other); the verdict is then
     the two-event one, and only a disagreement beyond it raises.
     """
-    report = is_ccs(state, partition, pair, tol)
-    if not report.holds:
-        raise NotACCSError("partition does not screen off the correlation in this state")
-    return _deterministic(state, partition, pair, report, tol)
+    return _deterministic(state, partition, pair, is_ccs(state, partition, pair, tol), tol)
 
 
 def _deterministic(
     state, partition: Partition, pair: EventPair, report: ScreeningReport, tol: Tolerance
 ) -> bool:
-    """Body of is_deterministic_ccs, given the triple's (holding) screening report."""
+    """Body of is_deterministic_ccs, given the triple's screening report."""
+    if not report.holds:
+        raise NotACCSError("partition does not screen off the correlation in this state")
     rho = density_matrix(state)
     for c, r, joint in zip(partition, partition.rank_profile(), report.conditional_joint):
         if joint is None:

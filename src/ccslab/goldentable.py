@@ -33,7 +33,7 @@ from .families import (
     generate,
 )
 from .sampling import SamplerConfig
-from .solver import solve_state_params
+from .solver import _ltp_state_at
 from .twoqubit import canonical_events
 
 __all__ = [
@@ -89,14 +89,6 @@ class CellOutcome:
         return base
 
 
-def _solved_ltp_state(theta: float, twisted: bool) -> DensityState:
-    sol = solve_state_params(theta)
-    return associated_state(
-        Family.CCStwist if twisted else Family.CCSclassU,
-        FamilyParams(theta=theta, a=sol.a, b=sol.b),
-    )
-
-
 def reference_state(family: Family, params: FamilyParams) -> DensityState:
     """The state the family's reference row is evaluated with."""
     if family is Family.TrivAB2:
@@ -104,11 +96,9 @@ def reference_state(family: Family, params: FamilyParams) -> DensityState:
     if family in (Family.TrivAB4, Family.CCSclass, Family.CCSBell, Family.CCShyper):
         return DensityState.maximally_mixed(4)
     if family is Family.CCSGabor:
-        return _solved_ltp_state(math.pi / 2.0, twisted=False)
-    if family is Family.CCSclassU:
-        return _solved_ltp_state(params.theta, twisted=False)
-    if family is Family.CCStwist:
-        return _solved_ltp_state(params.theta, twisted=True)
+        return _ltp_state_at(Family.CCSclassU, math.pi / 2.0)
+    if family in (Family.CCSclassU, Family.CCStwist):
+        return _ltp_state_at(family, params.theta)
     return associated_state(family, params)
 
 

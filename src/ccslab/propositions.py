@@ -47,7 +47,6 @@ from .core import (
     CommutationClass,
     DensityState,
     EventPair,
-    NotACCSError,
     PERFECT_CLASSES,
     Partition,
     ProjectionEvent,
@@ -318,8 +317,6 @@ def _perfect_ltp_ccs(inst, screening, tol):
 
 
 def _is_deterministic(inst, screening, tol):
-    if not screening.holds:
-        raise NotACCSError("partition does not screen off the correlation in this state")
     return _deterministic(inst.state, inst.partition, inst.pair, screening, tol)
 
 

@@ -136,6 +136,12 @@ def solve_state_params(theta: float, allow_degenerate: bool = True) -> LTPSoluti
     return LTPSolution(theta, xi, a, b)
 
 
+def _ltp_state_at(family: Family, theta: float):
+    """The CCSclassU or CCStwist state at theta with the solved amplitudes."""
+    sol = solve_state_params(theta)
+    return associated_state(family, FamilyParams(theta=theta, a=sol.a, b=sol.b))
+
+
 def transport_by_V(solution: LTPSolution) -> tuple:
     """Transport a solution through the diagonal phase twist.
 

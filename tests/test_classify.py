@@ -19,7 +19,10 @@ from ccslab.core import (
     CommutationClass,
     CorrelationClass,
     DensityState,
+    EventPair,
+    Partition,
     PreconditionError,
+    ProjectionEvent,
     check_lemma_wcomm,
     is_ccs,
     is_deterministic_ccs,
@@ -33,7 +36,7 @@ from ccslab.families import (
     generate,
 )
 from ccslab.goldentable import CellStatus, reference_state, run_golden_table
-from ccslab.sampling import SamplerConfig
+from ccslab.sampling import SamplerConfig, haar_unitary, random_commuting_pair, rng_for
 from ccslab.twoqubit import canonical_events
 
 CFG = SamplerConfig(seed=42, n_states=250, n_event_pairs=60)
@@ -117,6 +120,61 @@ def test_complement_form_certified_weak(pair, bell_density):
     assert level is TrivialityLevel.WEAK
     assert cert.kind is CertificateKind.ANALYTIC
     assert "complement" in cert.detail
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (1, 0), (2, 3), (3, 2)])
+def test_either_event_and_its_complement_certified_weak(first, second, pair, max_mixed):
+    events = (pair.a.op, np.eye(4) - pair.a.op, pair.b.op, np.eye(4) - pair.b.op)
+    partition = Partition((events[first], events[second]))
+    level, cert = certify_triviality(partition, pair, max_mixed, CFG)
+    assert (level, cert.kind) == (TrivialityLevel.WEAK, CertificateKind.ANALYTIC)
+    assert "complement" in cert.detail
+
+
+def _sector_pair_d6():
+    # all four sectors AB, AB', A'B, A'B' nonempty, two of them of rank two
+    u = haar_unitary(6, rng_for(5, 0))
+    a, b = (
+        ProjectionEvent(u @ np.diag(pattern).astype(complex) @ u.conj().T)
+        for pattern in ([1, 1, 0, 0, 1, 0], [1, 0, 1, 0, 0, 0])
+    )
+    return EventPair(a, b)
+
+
+def test_permuted_products_certified_weak():
+    pair6 = _sector_pair_d6()
+    ab, ab_, a_b, a_b_ = pair6.products()
+    partition = Partition((a_b, a_b_, ab, ab_))
+    assert partition.rank_profile() == (1, 2, 1, 2)
+    level, cert = certify_triviality(partition, pair6, DensityState.maximally_mixed(6), CFG)
+    assert (level, cert.kind) == (TrivialityLevel.WEAK, CertificateKind.ANALYTIC)
+    assert "complement" in cert.detail
+
+
+def test_union_of_sectors_weak_by_sampling():
+    # B = AB + A'B with AB' and A'B' screens in every state, but is no complement form
+    pair6 = _sector_pair_d6()
+    ab, ab_, a_b, a_b_ = pair6.products()
+    partition = Partition((ab + a_b, ab_, a_b_))
+    level, cert = certify_triviality(partition, pair6, DensityState.maximally_mixed(6), CFG)
+    assert (level, cert.kind) == (TrivialityLevel.WEAK, CertificateKind.SAMPLED)
+    assert cert.n == 2 * CFG.n_states + 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_partition_diagonal_in_the_only_probe_is_not_strong(seed):
+    # with one probe pair, a partition diagonal in its basis screens every probe
+    # (pair, state); strong triviality still fails, e.g. for (P, P) below
+    cfg = SamplerConfig(seed=seed, n_event_pairs=1)
+    probe = random_commuting_pair(2, rng_for(seed, 12, 0))
+    _, vecs = np.linalg.eigh(probe.a.op + 2.0 * probe.b.op)
+    partition = Partition.from_vectors(vecs.T)
+    mixed = DensityState.maximally_mixed(2)
+    level, cert = certify_triviality(partition, probe, mixed, cfg)
+    assert level is not TrivialityLevel.STRONG
+    assert cert.counterexample is None
+    p = ProjectionEvent.from_vector((vecs[:, 0] + vecs[:, 1]) / RT2)
+    assert not is_ccs(mixed, partition, EventPair(p, p)).holds
 
 
 def test_nontrivial_atomic_with_replayable_counterexample(pair, bell_density):
