@@ -7,12 +7,20 @@ analytically only (dimension 1, or product-atomic in the declared split).
 Weak triviality is certified analytically for atomic partitions (the
 per-element screening identity) and complement forms of the pair, and by
 seeded state sampling otherwise; sampling also finds the strong falsifier
-that weak certificates carry.  Certificate kinds are reported honestly and
-counterexamples recorded verbatim.
+that weak certificates carry, and runs only when the verdict is WEAK.
+Certificate kinds are reported honestly and counterexamples recorded verbatim.
+
+The sampled probe stream (the maximally mixed state, then per index a
+mixture of the reference state with a Ginibre sample and a Haar pure state)
+is drawn, validated and screened in stacks: the maximally mixed state alone,
+then 2, 4, ... states up to _MAX_CHUNK.  The first failing state of a stack
+gives the certificate's n and its witness, so a stacked run reports exactly
+what screening the states one at a time would.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 
@@ -30,9 +38,10 @@ from .core import (
     Tolerance,
     commutation_class,
     correlation_class,
-    _conditional_probs,
-    _correlation_forms,
+    _check_density,
+    _check_unit_vectors,
     _deterministic,
+    _screen,
     density_matrix,
     is_ccs,
     operators_close,
@@ -41,8 +50,8 @@ from .core import (
 from .families import TrivialityLevel
 from .sampling import (
     SamplerConfig,
-    ginibre_state,
-    haar_pure_state,
+    ginibre_matrix,
+    haar_vector,
     random_commuting_pair,
     random_product_pair,
     rng_for,
@@ -134,11 +143,9 @@ def _atomic_screening_identities(partition: Partition, pair: EventPair, tol: Tol
     iff <g|AB|g><g|A'B'|g> - <g|AB'|g><g|A'B|g> vanishes: is_ccs's balanced
     delta in every state giving C probability > eps_prob.
     """
-    products = pair.products()
-    return [
-        _correlation_forms(_conditional_probs(c.op, c.op, products, tol, True)[1])[1]
-        for c in partition
-    ]
+    # I/d gives every element probability 1/d, and rank-one elements read Tr(C X) in every state
+    maximally_mixed = np.eye(partition.dim, dtype=complex)[None] / partition.dim
+    return _screen(maximally_mixed, partition, pair, tol)[3][0, :, 1].tolist()
 
 
 def _is_complement_form(partition: Partition, pair: EventPair, tol: Tolerance) -> bool:
@@ -194,18 +201,76 @@ def _strong_probe_pairs(dim: int, dims: tuple | None, cfg: SamplerConfig):
         yield random_commuting_pair(dim, rng_for(cfg.seed, 12, i))
 
 
-def _probe_states(dim: int, rho_ref: np.ndarray, seed: int, tag: int, count: int):
-    """The maximally mixed state, then per index a mixture of the reference
-    state with a sample (nontrivial CCSs fail only off the reference support,
-    so full-support witnesses live there) and a pure resample."""
-    yield DensityState.maximally_mixed(dim)
-    for i in range(count):
-        rng = rng_for(seed, tag, i)
-        samp = ginibre_state(dim, rng).rho
-        w = (0.5, 0.1, 0.01)[i % 3]
-        mixed = (1.0 - w) * rho_ref + w * samp
-        yield DensityState(mixed / np.trace(mixed).real)
-        yield haar_pure_state(dim, rng).density()
+#: Largest stack of probe states screened at once.  The first stack is I/d
+#: alone, since most sampled requests find their witness there; stacks then
+#: double up to this cap, which bounds the memory a stack holds.
+_MAX_CHUNK = 64
+
+
+def _probe_chunks(dim: int, rho_ref: np.ndarray, seed: int, tag: int, count: int):
+    """The probe stream as validated stacks of states, shape (m, dim, dim).
+
+    The maximally mixed state, then per index i, from rng_for(seed, tag, i), a
+    mixture of the reference state with a Ginibre sample (nontrivial CCSs fail
+    only off the reference support, so full-support witnesses live there) and
+    a Haar pure state: 2 * count + 1 states in stacks of 1, 2, 4, ... up to
+    _MAX_CHUNK.
+    """
+    chunk = np.eye(dim, dtype=complex)[None] / dim
+    start = 0
+    while True:
+        _check_density(chunk)
+        yield chunk
+        if start == count:
+            return
+        # each index adds two states, so the next chunk is twice this one, up to the cap
+        indices = range(start, min(count, start + min(len(chunk), _MAX_CHUNK // 2)))
+        samples, vectors = [], []
+        for i in indices:
+            rng = rng_for(seed, tag, i)
+            samples.append(ginibre_matrix(dim, rng))
+            vectors.append(haar_vector(dim, rng))
+        psi = np.array(vectors)
+        _check_unit_vectors(psi)
+        w = np.array([(0.5, 0.1, 0.01)[i % 3] for i in indices])[:, None, None]
+        mixed = (1.0 - w) * rho_ref + w * np.array(samples)
+        mixed = mixed / np.trace(mixed, axis1=1, axis2=2).real[:, None, None]
+        pure = psi[:, :, None] * psi.conj()[:, None, :]
+        chunk = np.stack((mixed, pure), axis=1).reshape(-1, dim, dim)
+        start = indices.stop
+
+
+def _first_failure(stacks, partition: Partition, pair: EventPair, tol: Tolerance) -> tuple:
+    """(n, state) for the first state of the stream of stacks in which the
+    partition does not screen off the pair, counting states from 1, or
+    (number of states, None) when every state is screened."""
+    n = 0
+    for stack in stacks:
+        holds = _screen(stack, partition, pair, tol)[0]
+        if not holds.all():
+            j = int(np.argmin(holds))  # the first False
+            return n + j + 1, DensityState(stack[j])
+        n += len(stack)
+    return n, None
+
+
+def _strong_falsifier(
+    partition: Partition,
+    rho_ref: np.ndarray,
+    bipartite: tuple | None,
+    cfg: SamplerConfig,
+    tol: Tolerance,
+) -> dict | None:
+    """The first probe (commuting pair, state) that breaks screening, or None
+    when the budget finds none: each probe pair is screened over the 5 states
+    of the tag-13 stream as one stack."""
+    dim = partition.dim
+    states = np.concatenate(list(_probe_chunks(dim, rho_ref, cfg.seed, 13, count=2)))
+    for probe_pair in _strong_probe_pairs(dim, bipartite, cfg):
+        _, witness = _first_failure((states,), partition, probe_pair, tol)
+        if witness is not None:
+            return _serialize_counterexample("strong_triviality", witness, probe_pair)
+    return None
 
 
 def certify_triviality(
@@ -267,17 +332,19 @@ def _certify(
             ),
         )
 
-    # the first probe (pair, state) that breaks screening; None when the budget finds none
-    strong_counterexample = next(
-        (
-            _serialize_counterexample("strong_triviality", probe_state, probe_pair)
-            for probe_pair in _strong_probe_pairs(dim, bipartite, cfg)
-            for probe_state in _probe_states(dim, rho_ref, cfg.seed, 13, count=2)
-            if not is_ccs(probe_state, partition, probe_pair, tol).holds
-        ),
-        None,
-    )
+    level, certificate = _weak_triviality(partition, pair, rho_ref, cfg, tol)
+    if level is TrivialityLevel.WEAK:
+        falsifier = _strong_falsifier(partition, rho_ref, bipartite, cfg, tol)
+        certificate = dataclasses.replace(certificate, counterexample=falsifier)
+    return level, certificate
 
+
+def _weak_triviality(
+    partition: Partition, pair: EventPair, rho_ref: np.ndarray, cfg: SamplerConfig, tol: Tolerance
+) -> tuple:
+    """WEAK or NONTRIVIAL for a partition that is not strongly trivial; WEAK
+    certificates come without the strong falsifier, which _certify adds."""
+    dim = partition.dim
     if partition.is_atomic():
         defects = _atomic_screening_identities(partition, pair, tol)
         bad = [k for k, d in enumerate(defects) if abs(d) > tol.eps_eq]
@@ -287,7 +354,6 @@ def _certify(
                 TrivialityCertificate(
                     CertificateKind.ANALYTIC,
                     "per-element screening identity holds (state-independent)",
-                    counterexample=strong_counterexample,
                 ),
             )
         # I/d gives every element probability 1/d, so each defect is is_ccs's own delta there
@@ -304,35 +370,26 @@ def _certify(
     if _is_complement_form(partition, pair, tol):
         return (
             TrivialityLevel.WEAK,
-            TrivialityCertificate(
-                CertificateKind.ANALYTIC,
-                "complement form of the tested pair",
-                counterexample=strong_counterexample,
-            ),
+            TrivialityCertificate(CertificateKind.ANALYTIC, "complement form of the tested pair"),
         )
 
-    n_states = 0
-    for witness in _probe_states(dim, rho_ref, cfg.seed, 14, cfg.n_states):
-        n_states += 1
-        if not is_ccs(witness, partition, pair, tol).holds:
-            return (
-                TrivialityLevel.NONTRIVIAL,
-                TrivialityCertificate(
-                    CertificateKind.SAMPLED,
-                    "sampled state breaks screening",
-                    seed=cfg.seed,
-                    n=n_states,
-                    counterexample=_serialize_counterexample("weak_triviality", witness, None),
-                ),
-            )
+    stream = _probe_chunks(dim, rho_ref, cfg.seed, 14, cfg.n_states)
+    n, witness = _first_failure(stream, partition, pair, tol)
+    if witness is not None:
+        return (
+            TrivialityLevel.NONTRIVIAL,
+            TrivialityCertificate(
+                CertificateKind.SAMPLED,
+                "sampled state breaks screening",
+                seed=cfg.seed,
+                n=n,
+                counterexample=_serialize_counterexample("weak_triviality", witness, None),
+            ),
+        )
     return (
         TrivialityLevel.WEAK,
         TrivialityCertificate(
-            CertificateKind.SAMPLED,
-            "no sampled state broke screening",
-            seed=cfg.seed,
-            n=n_states,
-            counterexample=strong_counterexample,
+            CertificateKind.SAMPLED, "no sampled state broke screening", seed=cfg.seed, n=n
         ),
     )
 

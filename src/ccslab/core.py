@@ -6,22 +6,27 @@ phi(X) = Tr(rho X).  On top of that this module implements the machinery
 for common-cause analysis of a commuting event pair (A, B):
 
 - conditional states and probabilities  phi(X|C) = Tr(rho C X C)/Tr(rho C),
-  which is Tr(C X) for rank-one C; _conditional_probs computes every
-  conditional probability in the package
+  which is Tr(C X) for rank-one C; _conditionals computes every
+  conditional probability in the package, for a stack of states at once
 - correlation of A and B, in two algebraically equal forms:
       original:  phi(AB) - phi(A) phi(B)
       balanced:  phi(AB) phi(A'B') - phi(AB') phi(A'B)      (X' = I - X)
 - screening-off: a partition {C_k} is a common cause system (CCS) of the
   correlation when the conditional correlation vanishes for every element
   of nonzero probability; zero-probability elements impose no condition.
-  is_ccs returns a ScreeningReport whose conditional_joint[k] holds the four
-  phi(X|C_k) (None at zero probability); the determinism check reads them
+  _screen decides it for every state of a stack (n, d, d) at once, and is_ccs
+  is its n = 1 view: a ScreeningReport whose conditional_joint[k] holds the
+  four phi(X|C_k) (None at zero probability); the determinism check reads them
 - determinism, commutation classes (commuting / weakly commuting /
   noncommuting), the law of total probability Tr(E(rho) X) = Tr(rho X)
   for the four events generated by A and B, where E is the pinching
   E(X) = sum_k C_k X C_k
 - classification of the correlation strength (perfect / maximal, and the
   anticorrelated twins)
+
+Density operators are validated by one shape-generic check, _check_density,
+over (..., d, d): DensityState runs it on one matrix, and callers that build
+states in bulk run it on the whole stack.
 
 All operations are pure functions; everything numeric is guarded by an
 explicit Tolerance (operator equality is Frobenius distance <= eps_eq * dim,
@@ -121,14 +126,20 @@ DEFAULT_TOL = Tolerance()
 # Operator helpers
 # ---------------------------------------------------------------------------
 
-def as_operator(m) -> np.ndarray:
-    """Coerce to a square, finite, complex matrix (the universal event/state carrier)."""
+def _square_matrix(m) -> np.ndarray:
+    """Coerce to a complex square matrix of dimension >= 1; entries unchecked."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"operator must be a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValidationError("operator dimension must be >= 1")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    return a
+
+
+def as_operator(m) -> np.ndarray:
+    """Coerce to a square, finite, complex matrix (the universal event/state carrier)."""
+    a = _square_matrix(m)
+    if not np.isfinite(a).all():
         raise ValidationError("operator entries must be finite")
     return a
 
@@ -259,6 +270,41 @@ class Partition:
         return all(r == 1 for r in self._ranks)
 
 
+def _check_density(rho: np.ndarray) -> None:
+    """Raise ValidationError unless every matrix of rho, shape (..., d, d), is a
+    density operator: finite, Hermitian (Frobenius <= eps_eq * d), PSD
+    (eigenvalues >= -eps_eq) and of unit trace (within eps_eq * d).
+
+    The checks apply in that order over the whole stack, so a stack with one
+    bad matrix raises the message DensityState gives for that matrix.
+    """
+    if not np.isfinite(rho).all():
+        raise ValidationError("operator entries must be finite")
+    bound = DEFAULT_TOL.eps_eq * rho.shape[-1]
+    skewed = np.linalg.norm(rho - rho.swapaxes(-1, -2).conj(), axis=(-2, -1)) > bound
+    lowest = np.linalg.eigvalsh(rho)[..., 0]
+    negative = lowest < -DEFAULT_TOL.eps_eq
+    off_trace = np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) > bound
+    if not (skewed | negative | off_trace).any():
+        return
+    if skewed.any():
+        raise ValidationError("density operator must be Hermitian")
+    if negative.any():
+        raise ValidationError(
+            f"density operator not PSD (min eigenvalue {lowest[negative][0]:.3e})"
+        )
+    raise ValidationError("density operator must have unit trace")
+
+
+def _check_unit_vectors(v: np.ndarray) -> None:
+    """Raise ValidationError unless every vector of v, shape (..., d), is finite
+    and of unit norm (within eps_eq)."""
+    if not np.isfinite(v).all():
+        raise ValidationError("state vector entries must be finite")
+    if (np.abs(np.linalg.norm(v, axis=-1) - 1.0) > DEFAULT_TOL.eps_eq).any():
+        raise ValidationError("state vector must be normalized")
+
+
 @dataclass(frozen=True)
 class DensityState:
     """A state: positive semidefinite, trace-one operator."""
@@ -266,16 +312,9 @@ class DensityState:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = as_operator(self.rho)
+        rho = _square_matrix(self.rho)
         object.__setattr__(self, "rho", rho)
-        n = rho.shape[0]
-        if np.linalg.norm(rho - dagger(rho)) > DEFAULT_TOL.eps_eq * n:
-            raise ValidationError("density operator must be Hermitian")
-        evals = np.linalg.eigvalsh(rho)
-        if evals.min() < -DEFAULT_TOL.eps_eq:
-            raise ValidationError(f"density operator not PSD (min eigenvalue {evals.min():.3e})")
-        if abs(float(np.trace(rho).real) - 1.0) > DEFAULT_TOL.eps_eq * n:
-            raise ValidationError("density operator must have unit trace")
+        _check_density(rho)
 
     @property
     def dim(self) -> int:
@@ -305,10 +344,7 @@ class PureState:
     def __post_init__(self):
         v = np.asarray(self.psi, dtype=complex).reshape(-1)
         object.__setattr__(self, "psi", v)
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValidationError("state vector entries must be finite")
-        if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL.eps_eq:
-            raise ValidationError("state vector must be normalized")
+        _check_unit_vectors(v)
 
     @property
     def dim(self) -> int:
@@ -387,24 +423,55 @@ def _clamp_probability(value: float, tol: Tolerance) -> float:
     return value
 
 
-def _conditional_probs(
-    rho: np.ndarray, cond: np.ndarray, events, tol: Tolerance, rank_one: bool
-) -> tuple:
-    """(phi(C), tuple of phi(X|C) = Tr(rho C X C) / phi(C) over the events).
+def _real_traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(a_i b_j) for stacks a (n, d, d) and b (m, d, d), shape (n, m).
 
-    The tuple is None when phi(C) <= eps_prob.  For rank-one C = |g><g|,
-    C X C = <g|X|g> C, so phi(X|C) = Tr(C X) in every such state, free of the
-    u / phi(C) roundoff of the ratio.  Every conditional probability in the
-    package is computed here.
+    Re Tr(a b) is the dot product of the float views of a and conj(b^T), so
+    each entry sums one pair of contiguous rows, in an order that does not
+    depend on n or m: a state reads the same value alone or inside a stack.
     """
-    p = _trace_pair(rho, cond)
-    if p <= tol.eps_prob:
-        return (p, None)
-    if rank_one:
-        vals = (_trace_pair(cond, x) for x in events)
-    else:
-        vals = (float(np.trace(rho @ cond @ x @ cond).real) / p for x in events)
-    return (p, tuple(_clamp_probability(v, tol) for v in vals))
+    af = np.ascontiguousarray(a).reshape(len(a), -1).view(float)
+    bf = np.ascontiguousarray(b.swapaxes(-1, -2)).conj().reshape(len(b), -1).view(float)
+    return np.einsum("nx,mx->nm", af, bf)
+
+
+def _conditionals(rhos: np.ndarray, conds, ranks, events, tol: Tolerance) -> tuple:
+    """Conditional probabilities phi(X|C) for a stack of states, every condition
+    C_k and every event X_j at once.
+
+    rhos has shape (n, d, d); conds and events are sequences of k events and
+    m operators, ranks the k ranks.  Returns (probs, vals, zero): probs[i, k] =
+    phi_i(C_k), vals[i, k, j] = phi_i(X_j|C_k), and zero[i, k] = probs[i, k] <=
+    eps_prob, where vals is 0 (zero-probability elements impose no condition).
+    A rank-one C = |g><g| reads Tr(C X), since C X C = <g|X|g> C, free of the
+    u / phi(C) roundoff of the ratio; higher ranks read Tr(rho C X C) / phi(C).
+    Values within eps_eq outside [0, 1] are clamped; further out they raise.
+    Every conditional probability in the package is computed here.
+    """
+    c = np.array([e.op for e in conds])
+    x = np.array(events)
+    one = np.array(ranks) == 1
+    probs = _real_traces(rhos, c)
+    zero = probs <= tol.eps_prob
+    vals = np.empty(zero.shape + (len(x),))
+    if one.any():
+        vals[:, one] = _real_traces(c[one], x)
+    if not one.all():
+        ch = c[~one, None]
+        cxc = (ch @ x @ ch).reshape(-1, *x.shape[1:])
+        vals[:, ~one] = _real_traces(rhos, cxc).reshape(len(rhos), -1, len(x)) / np.where(
+            zero[:, ~one], 1.0, probs[:, ~one]
+        )[..., None]
+    vals[zero] = 0.0
+    outside = (vals < -tol.eps_eq) | (vals > 1.0 + tol.eps_eq)
+    if outside.any():
+        raise ValidationError(f"probability {vals[outside][0]} outside [0,1] beyond tolerance")
+    return probs, np.clip(vals, 0.0, 1.0, out=vals), zero
+
+
+def _masked_rows(vals: np.ndarray, zero: np.ndarray) -> tuple:
+    """State 0 of a stacked (n, k, m) result as k tuples, None where zero[0, k]."""
+    return tuple(None if z else tuple(v) for z, v in zip(zero[0].tolist(), vals[0].tolist()))
 
 
 def probability(state, event: ProjectionEvent, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -432,10 +499,10 @@ def conditional_probability(
     """phi(X|C) = Tr(rho C X C) / Tr(rho C)."""
     rho = density_matrix(state)
     _check_same_dim(rho.shape[0], event.dim, cond.dim)
-    p, vals = _conditional_probs(rho, cond.op, (event.op,), tol, cond.rank == 1)
-    if vals is None:
-        raise ZeroProbabilityError(f"conditioning event has probability {p:.3e}")
-    return vals[0]
+    probs, vals, zero = _conditionals(rho[None], (cond,), (cond.rank,), (event.op,), tol)
+    if zero[0, 0]:
+        raise ZeroProbabilityError(f"conditioning event has probability {probs[0, 0]:.3e}")
+    return float(vals[0, 0, 0])
 
 
 def conditional_expectation(partition: Partition, x) -> np.ndarray:
@@ -473,10 +540,11 @@ def correlation(state, pair: EventPair, tol: Tolerance = DEFAULT_TOL) -> tuple:
     return (original, balanced)
 
 
-def _correlation_forms(joint: tuple) -> tuple:
-    """(original, balanced) correlation from the four joint probabilities."""
-    p00, p01, p10, p11 = joint
-    return (p00 - (p00 + p01) * (p00 + p10), p00 * p11 - p01 * p10)
+def _correlation_forms(joint: np.ndarray) -> np.ndarray:
+    """(original, balanced) correlation, shape (..., 2), from the four joint
+    probabilities (phi(AB), phi(AB'), phi(A'B), phi(A'B')) along the last axis."""
+    p00, p01, p10, p11 = np.moveaxis(joint, -1, 0)
+    return np.stack((p00 - (p00 + p01) * (p00 + p10), p00 * p11 - p01 * p10), axis=-1)
 
 
 def conditional_correlation(
@@ -485,10 +553,10 @@ def conditional_correlation(
     """Conditional correlation given C, (original, balanced) forms."""
     rho = density_matrix(state)
     _check_same_dim(rho.shape[0], pair.dim, cond.dim)
-    p, joint = _conditional_probs(rho, cond.op, pair.products(), tol, cond.rank == 1)
-    if joint is None:
-        raise ZeroProbabilityError(f"conditioning event has probability {p:.3e}")
-    return _correlation_forms(joint)
+    probs, joint, zero = _conditionals(rho[None], (cond,), (cond.rank,), pair.products(), tol)
+    if zero[0, 0]:
+        raise ZeroProbabilityError(f"conditioning event has probability {probs[0, 0]:.3e}")
+    return tuple(_correlation_forms(joint[0, 0]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -515,26 +583,42 @@ class ScreeningReport:
         return self.holds
 
 
+def _screen(rhos: np.ndarray, partition: Partition, pair: EventPair, tol: Tolerance) -> tuple:
+    """Screening of the pair by the partition in every state of a stack rhos, shape (n, d, d).
+
+    Returns (holds, probs, joint, forms, zero): holds[i] for state i;
+    probs[i, k] = phi_i(C_k); joint[i, k] the four phi_i(X|C_k) for X in
+    (AB, AB', A'B, A'B'); forms[i, k] the (original, balanced) conditional
+    correlation; zero[i, k] marks elements of probability <= eps_prob, whose
+    joint and forms are 0.  State i is screened iff both forms are within
+    eps_eq for every element.
+    """
+    probs, joint, zero = _conditionals(
+        rhos, partition.elements, partition.rank_profile(), pair.products(), tol
+    )
+    forms = _correlation_forms(joint)
+    holds = ~(np.abs(forms) > tol.eps_eq).any(axis=(1, 2))
+    return holds, probs, joint, forms, zero
+
+
 def is_ccs(
     state, partition: Partition, pair: EventPair, tol: Tolerance = DEFAULT_TOL
 ) -> ScreeningReport:
     """Does the partition screen off the correlation of the pair in this state?
 
     True iff the conditional correlation vanishes (<= eps_eq) for every element
-    of probability > eps_prob.
+    of probability > eps_prob.  The n = 1 view of _screen.
     """
     rho = density_matrix(state)
     _check_same_dim(rho.shape[0], partition.dim, pair.dim)
-    products, ranks = pair.products(), partition.rank_profile()
-    probs, joints = zip(
-        *(_conditional_probs(rho, c.op, products, tol, r == 1) for c, r in zip(partition, ranks))
+    holds, probs, joint, forms, zero = _screen(rho[None], partition, pair, tol)
+    return ScreeningReport(
+        bool(holds[0]),
+        _masked_rows(forms, zero),
+        tuple(probs[0].tolist()),
+        tuple(np.flatnonzero(zero[0]).tolist()),
+        _masked_rows(joint, zero),
     )
-    deltas = tuple(None if j is None else _correlation_forms(j) for j in joints)
-    zero = tuple(k for k, j in enumerate(joints) if j is None)
-    holds = not any(
-        abs(d[0]) > tol.eps_eq or abs(d[1]) > tol.eps_eq for d in deltas if d is not None
-    )
-    return ScreeningReport(holds, deltas, probs, zero, joints)
 
 
 def _binary_within(value: float, tol: Tolerance) -> bool:
@@ -563,12 +647,17 @@ def _deterministic(
     """Body of is_deterministic_ccs, given the triple's screening report."""
     if not report.holds:
         raise NotACCSError("partition does not screen off the correlation in this state")
-    rho = density_matrix(state)
-    for c, r, joint in zip(partition, partition.rank_profile(), report.conditional_joint):
+    # from A and B themselves: derived from the four products, the cross-check is vacuous
+    _, ab, _ = _conditionals(
+        density_matrix(state)[None],
+        partition.elements,
+        partition.rank_profile(),
+        (pair.a.op, pair.b.op),
+        tol,
+    )
+    for (pa, pb), joint in zip(ab[0].tolist(), report.conditional_joint):
         if joint is None:
             continue
-        # from A and B themselves: derived from the four products, the cross-check is vacuous
-        _, (pa, pb) = _conditional_probs(rho, c.op, (pair.a.op, pair.b.op), tol, r == 1)
         two_event = _binary_within(pa, tol) and _binary_within(pb, tol)
         four_event = all(_binary_within(v, tol) for v in joint)
         if two_event != four_event:

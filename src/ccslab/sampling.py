@@ -28,6 +28,7 @@ __all__ = [
     "haar_vector",
     "haar_unitary",
     "haar_pure_state",
+    "ginibre_matrix",
     "ginibre_state",
     "random_state",
     "random_diagonal_pattern",
@@ -81,11 +82,18 @@ def haar_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     return PureState(haar_vector(dim, rng))
 
 
-def ginibre_state(dim: int, rng: np.random.Generator) -> DensityState:
-    """Full-rank density operator G G^dag / Tr(G G^dag)."""
+def ginibre_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The raw draw of ginibre_state: G G^dag / Tr(G G^dag), not validated.
+
+    For callers that validate many draws at once as one stack."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return DensityState(m / np.trace(m).real)
+    return m / np.trace(m).real
+
+
+def ginibre_state(dim: int, rng: np.random.Generator) -> DensityState:
+    """Full-rank density operator G G^dag / Tr(G G^dag)."""
+    return DensityState(ginibre_matrix(dim, rng))
 
 
 def random_state(dim: int, rng: np.random.Generator, method: SamplingMethod):

@@ -41,7 +41,8 @@ from .core import (
     PureState,
     Tolerance,
     ValidationError,
-    _conditional_probs,
+    _conditionals,
+    _masked_rows,
     density_matrix,
     satisfies_ltp,
 )
@@ -230,12 +231,11 @@ def conditional_probs_canonical(
     rho = density_matrix(state)
     if partition.dim != DIM or rho.shape[0] != DIM:
         raise DimensionMismatchError("canonical conditional probabilities need dim 4")
-    pair, ranks = canonical_events(), partition.rank_profile()
-    events = (pair.a.op, pair.b.op)
-    probs, entries = zip(
-        *(_conditional_probs(rho, c.op, events, tol, r == 1) for c, r in zip(partition, ranks))
+    pair = canonical_events()
+    probs, vals, zero = _conditionals(
+        rho[None], partition.elements, partition.rank_profile(), (pair.a.op, pair.b.op), tol
     )
-    return ConditionalProbabilityTable(entries, probs)
+    return ConditionalProbabilityTable(_masked_rows(vals, zero), tuple(probs[0].tolist()))
 
 
 def ltp_check_2x2(state, partition: Partition, tol: Tolerance = DEFAULT_TOL) -> LTPReport:

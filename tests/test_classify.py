@@ -21,8 +21,10 @@ from ccslab.core import (
     DensityState,
     EventPair,
     Partition,
+    DEFAULT_TOL,
     PreconditionError,
     ProjectionEvent,
+    Tolerance,
     check_lemma_wcomm,
     is_ccs,
     is_deterministic_ccs,
@@ -36,8 +38,18 @@ from ccslab.families import (
     generate,
 )
 from ccslab.goldentable import CellStatus, reference_state, run_golden_table
-from ccslab.sampling import SamplerConfig, haar_unitary, random_commuting_pair, rng_for
+from ccslab.sampling import (
+    SamplerConfig,
+    ginibre_state,
+    haar_pure_state,
+    haar_unitary,
+    random_commuting_pair,
+    rng_for,
+)
 from ccslab.twoqubit import canonical_events
+
+# the package attribute ``ccslab.classify`` is the function, not the module
+classify_mod = sys.modules["ccslab.classify"]
 
 CFG = SamplerConfig(seed=42, n_states=250, n_event_pairs=60)
 RT2 = math.sqrt(2.0)
@@ -350,3 +362,146 @@ def test_determinism_cross_check_tolerates_its_slack(family, offset, base):
     report = _classified(family, FamilyParams(theta=base + offset))
     assert report.is_ccs
     assert report.deterministic is Determinism.DETERMINISTIC
+
+
+def test_nontrivial_atomic_cell_draws_no_probes(pair, bell_density, max_mixed, monkeypatch):
+    # only WEAK certificates carry the strong falsifier, so a NONTRIVIAL verdict
+    # never searches for it
+    tags = []
+    original = classify_mod._probe_chunks
+
+    def counting(dim, rho_ref, seed, tag, count):
+        tags.append(tag)
+        return original(dim, rho_ref, seed, tag, count)
+
+    monkeypatch.setattr(classify_mod, "_probe_chunks", counting)
+    inst = generate(Family.CCSntrat, FamilyParams(theta=math.pi / 3))
+    level, cert = certify_triviality(inst.partition, pair, bell_density, CFG)
+    assert (level, cert.kind) == (TrivialityLevel.NONTRIVIAL, CertificateKind.ANALYTIC)
+    assert tags == []
+    inst = generate(Family.CCShyper, FamilyParams(xi=0.9, zeta=-1.4))
+    level, cert = certify_triviality(inst.partition, pair, max_mixed, CFG)
+    assert (level, cert.kind) == (TrivialityLevel.WEAK, CertificateKind.ANALYTIC)
+    assert tags == [13]
+
+
+# ---------------------------------------------------------------------------
+# the chunked probe stream replays the sequential one
+# ---------------------------------------------------------------------------
+
+def _sequential_probe_states(dim, rho_ref, seed, tag, count):
+    """The probe stream one state at a time, from the public samplers."""
+    yield np.eye(dim, dtype=complex) / dim
+    for i in range(count):
+        rng = rng_for(seed, tag, i)
+        sample = ginibre_state(dim, rng).rho
+        w = (0.5, 0.1, 0.01)[i % 3]
+        mixed = (1.0 - w) * rho_ref + w * sample
+        yield mixed / np.trace(mixed).real
+        psi = haar_pure_state(dim, rng).psi
+        yield np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("count", [1, 2, 3, 1000])
+def test_probe_chunks_concatenate_to_the_sequential_stream(dim, count):
+    rho_ref = ginibre_state(dim, rng_for(31, dim)).rho
+    chunks = list(classify_mod._probe_chunks(dim, rho_ref, 9, 14, count))
+    sizes = [len(c) for c in chunks]
+    assert sizes[0] == 1 and max(sizes) <= classify_mod._MAX_CHUNK
+    assert all(b == min(2 * a, classify_mod._MAX_CHUNK) for a, b in zip(sizes[:-2], sizes[1:-1]))
+    reference = np.array(list(_sequential_probe_states(dim, rho_ref, 9, 14, count)))
+    assert np.array_equal(np.concatenate(chunks), reference)
+
+
+def test_a_full_probe_stack_passes_the_public_constructor():
+    rho_ref = ginibre_state(5, rng_for(32, 0)).rho
+    stacks = list(classify_mod._probe_chunks(5, rho_ref, 4, 14, 100))
+    assert len(stacks[7]) == classify_mod._MAX_CHUNK
+    for rho in stacks[7]:
+        assert np.array_equal(DensityState(rho).rho, rho)
+
+
+def _tilted_sector_triple():
+    """{B, AB', A'B'} of the canonical pair turned by a small unitary: no longer
+    screening in every state, with a margin that varies from state to state."""
+    pair = canonical_events()
+    ab, ab_, a_b, a_b_ = pair.products()
+    h = rng_for(8, 0).standard_normal((4, 4))
+    w, v = np.linalg.eigh(h + h.T)
+    u = v @ np.diag(np.exp(0.05j * w)) @ v.conj().T
+    partition = Partition(tuple(u @ x @ u.conj().T for x in (ab + a_b, ab_, a_b_)))
+    return partition, pair, ginibre_state(4, rng_for(9, 0))
+
+
+def _margin(rho, partition, pair):
+    deltas = is_ccs(DensityState(rho), partition, pair).conditional_deltas
+    return max(max(abs(f) for f in d) for d in deltas if d is not None)
+
+
+def _sequential_scan(partition, pair, rho_ref, seed, count, tol):
+    """(n, witness) of the first probe state that is not screened, or (states, None)."""
+    n = 0
+    for rho in _sequential_probe_states(partition.dim, rho_ref, seed, 14, count):
+        n += 1
+        if not is_ccs(DensityState(rho), partition, pair, tol).holds:
+            return n, rho
+    return n, None
+
+
+@pytest.mark.parametrize(
+    "seed, n",
+    [
+        (5, 4),  # the first state of the third stack (states 4-7)
+        (5, 7),  # the last state of that stack
+        (5, 9),  # inside the fourth stack (states 8-15)
+        (2, 4),
+    ],
+)
+def test_sampled_witness_matches_a_sequential_scan(seed, n):
+    partition, pair, state = _tilted_sector_triple()
+    margins = [
+        _margin(rho, partition, pair)
+        for rho in _sequential_probe_states(4, state.rho, seed, 14, n // 2)
+    ]
+    # a tolerance between the margins that makes state n the first to fail
+    below = max(margins[: n - 1] + [_margin(state.rho, partition, pair)])
+    assert margins[n - 1] > below * (1 + 1e-6), "state n sets no new margin record"
+    tol = Tolerance(eps_eq=(below + margins[n - 1]) / 2)
+    cfg = SamplerConfig(seed=seed, n_states=40)
+    level, cert = certify_triviality(partition, pair, state, cfg, tol)
+    want_n, want_witness = _sequential_scan(partition, pair, state.rho, seed, 40, tol)
+    assert (level, cert.kind, cert.seed) == (TrivialityLevel.NONTRIVIAL, CertificateKind.SAMPLED, seed)
+    assert cert.n == want_n == n
+    assert np.array_equal(cert.counterexample["state"], want_witness)
+
+
+def test_sampled_witness_on_the_first_state(pair, bell_density):
+    inst = generate(Family.CCS22ntrat, FamilyParams(theta=math.pi / 3))
+    level, cert = certify_triviality(inst.partition, pair, bell_density, CFG)
+    want_n, want_witness = _sequential_scan(
+        inst.partition, pair, bell_density.rho, CFG.seed, CFG.n_states, DEFAULT_TOL
+    )
+    assert level is TrivialityLevel.NONTRIVIAL
+    assert cert.n == want_n == 1
+    assert np.array_equal(cert.counterexample["state"], want_witness)
+
+
+def test_sampled_weak_certificate_matches_a_sequential_scan():
+    pair6 = _sector_pair_d6()
+    ab, ab_, a_b, a_b_ = pair6.products()
+    partition = Partition((ab + a_b, ab_, a_b_))
+    state = ginibre_state(6, rng_for(4, 0))
+    cfg = SamplerConfig(seed=3, n_states=150, n_event_pairs=6)
+    level, cert = certify_triviality(partition, pair6, state, cfg)
+    assert (level, cert.kind) == (TrivialityLevel.WEAK, CertificateKind.SAMPLED)
+    assert cert.n == _sequential_scan(partition, pair6, state.rho, 3, 150, DEFAULT_TOL)[0] == 301
+    # the strong falsifier: the first (probe pair, state) in sequential order
+    falsifier = next(
+        (probe, rho)
+        for probe in classify_mod._strong_probe_pairs(6, None, cfg)
+        for rho in _sequential_probe_states(6, state.rho, 3, 13, 2)
+        if not is_ccs(DensityState(rho), partition, probe).holds
+    )
+    assert np.array_equal(cert.counterexample["pair_a"], falsifier[0].a.op)
+    assert np.array_equal(cert.counterexample["state"], falsifier[1])

@@ -19,6 +19,7 @@ from ccslab.core import (
     Tolerance,
     ValidationError,
     ZeroProbabilityError,
+    _check_density,
     commutation_class,
     complement,
     check_lemma_wcomm,
@@ -528,6 +529,33 @@ def test_pure_state_must_be_normalized():
     with pytest.raises(ValidationError):
         PureState(np.array([1.0, 1.0]))
     assert PureState.normalized([1.0, 1.0]).dim == 2
+
+
+def _invalid_density(kind, d=3):
+    rho = np.eye(d, dtype=complex) / d
+    if kind == "non-finite":
+        rho[0, 1] = np.nan
+    elif kind == "non-Hermitian":
+        rho[0, 1] = 0.1
+    elif kind == "non-PSD":
+        rho = np.diag([1.5, -0.5] + [0.0] * (d - 2)).astype(complex)
+    else:
+        rho = 1.1 * rho
+    return rho
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "non-Hermitian", "non-PSD", "wrong trace"])
+@pytest.mark.parametrize("position", [0, 3])
+def test_density_stack_check_raises_the_single_state_message(kind, position):
+    rng = rng_for(37, 0)
+    stack = np.array([ginibre_state(3, rng).rho for _ in range(5)])
+    _check_density(stack)
+    stack[position] = _invalid_density(kind)
+    with pytest.raises(ValidationError) as single:
+        DensityState(stack[position])
+    with pytest.raises(ValidationError) as stacked:
+        _check_density(stack)
+    assert str(stacked.value) == str(single.value)
 
 
 def test_event_pair_must_commute():
